@@ -427,7 +427,7 @@ type (
 	// FailoverMonitorConfig tunes a FailoverMonitor.
 	FailoverMonitorConfig = failover.MonitorConfig
 	// MigrationPendingRecord describes one in-flight migration import
-	// (the target's crash-safety sidecar).
+	// (the header of the target's crash-safety chunk spool).
 	MigrationPendingRecord = failover.PendingRecord
 )
 

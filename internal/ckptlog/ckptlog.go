@@ -234,8 +234,10 @@ func decodeFrame(data []byte) (f frame, n int, res decodeResult) {
 	return f, total, decodeOK
 }
 
-// encodePayload gob-encodes v as a self-contained record payload.
-func encodePayload(v any) ([]byte, error) {
+// EncodePayload gob-encodes v as a self-contained record payload. It is
+// the one payload encoder for every durable record and wire frame: the
+// journal, the control-plane store and the migration protocol.
+func EncodePayload(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, fmt.Errorf("ckptlog: encoding record: %w", err)
@@ -243,11 +245,12 @@ func encodePayload(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodePayload gob-decodes a record payload. Any decode failure —
+// DecodePayload gob-decodes a record payload. Any decode failure —
 // including a panic from a hostile gob stream — is reported as a typed
-// error, never a crash: decode feeds on disk bytes that survived a CRC
-// only by construction or by fuzzing.
-func decodePayload(data []byte, v any) (err error) {
+// error wrapping api.ErrInvalidValue, never a crash: decode feeds on disk
+// and wire bytes that survived a CRC only by construction or by fuzzing.
+// Input is capped at the frame payload bound.
+func DecodePayload(data []byte, v any) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("ckptlog: record decode panicked: %v: %w", r, api.ErrInvalidValue)

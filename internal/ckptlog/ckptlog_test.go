@@ -1,7 +1,9 @@
 package ckptlog
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -441,6 +443,46 @@ func TestStaleCompactionTempRemoved(t *testing.T) {
 	checkPopulated(t, rec)
 	if _, err := os.Stat(filepath.Join(dir, tmpName)); !os.IsNotExist(err) {
 		t.Fatalf("stale temp still present: %v", err)
+	}
+}
+
+// TestInstallFile: a failing write leaves the old file byte-identical
+// and no temp behind; a successful install replaces the content, and the
+// pre-rename hook still sees the old file in place.
+func TestInstallFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state")
+	old := []byte("old content")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err := InstallFile(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("half of the new")); err != nil {
+			return err
+		}
+		return boom
+	}, func() { t.Fatal("pre-rename hook ran after a failed write") })
+	if !errors.Is(err, boom) {
+		t.Fatalf("InstallFile = %v, want the write error", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+		t.Fatalf("old file changed to %q by a failed install", got)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
+
+	hooked := false
+	if err := InstallFile(path, WriteBytes([]byte("new")), func() {
+		hooked = true
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+			t.Errorf("pre-rename hook saw %q, want the old file", got)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); !hooked || string(got) != "new" {
+		t.Fatalf("after install: hooked=%v content %q", hooked, got)
 	}
 }
 

@@ -42,10 +42,10 @@ func FuzzDecodeFrame(f *testing.F) {
 // every record shape: a typed error or success, never a panic.
 func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{})
-	if p, err := encodePayload(entryRecord{Entry: entry(0x100, "seed"), NextOff: 256}); err == nil {
+	if p, err := EncodePayload(entryRecord{Entry: entry(0x100, "seed"), NextOff: 256}); err == nil {
 		f.Add(p)
 	}
-	if p, err := encodePayload(kernelRecord{Call: launch("inc", 0x100)}); err == nil {
+	if p, err := EncodePayload(kernelRecord{Call: launch("inc", 0x100)}); err == nil {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -53,8 +53,8 @@ func FuzzDecodePayload(f *testing.F) {
 			new(headerRecord), new(imageRecord), new(entryRecord),
 			new(freeRecord), new(kernelRecord),
 		} {
-			if err := decodePayload(data, v); err != nil && !errors.Is(err, api.ErrInvalidValue) {
-				t.Fatalf("decodePayload(%T) = untyped error %v", v, err)
+			if err := DecodePayload(data, v); err != nil && !errors.Is(err, api.ErrInvalidValue) {
+				t.Fatalf("DecodePayload(%T) = untyped error %v", v, err)
 			}
 		}
 	})

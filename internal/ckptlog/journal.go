@@ -18,7 +18,7 @@ import (
 const (
 	snapshotName = "snapshot.ckpt"
 	journalName  = "journal.wal"
-	tmpName      = "snapshot.tmp"
+	tmpName      = snapshotName + ".tmp" // InstallFile's temp name
 )
 
 // DefaultCompactBytes is the journal growth (bytes appended since the
@@ -243,7 +243,7 @@ func (j *Journal) ContextReleased(ctxID int64) {
 // individually synced: the next commit record's fsync makes it durable
 // (prefix durability). The signature matches memmgr.Observer.
 func (j *Journal) EntryWritten(ctxID int64, e memmgr.EntryImage, nextOff uint64) {
-	payload, err := encodePayload(entryRecord{Entry: e, NextOff: nextOff})
+	payload, err := EncodePayload(entryRecord{Entry: e, NextOff: nextOff})
 	if err != nil {
 		j.logf("entry-written encode failed: %v", err)
 		return
@@ -261,7 +261,7 @@ func (j *Journal) EntryWritten(ctxID int64, e memmgr.EntryImage, nextOff uint64)
 // EntryFreed records a page-table entry de-allocation. The signature
 // matches memmgr.Observer.
 func (j *Journal) EntryFreed(ctxID int64, virtual api.DevPtr) {
-	payload, err := encodePayload(freeRecord{Virtual: virtual})
+	payload, err := EncodePayload(freeRecord{Virtual: virtual})
 	if err != nil {
 		j.logf("entry-freed encode failed: %v", err)
 		return
@@ -280,7 +280,7 @@ func (j *Journal) EntryFreed(ctxID int64, virtual api.DevPtr) {
 // runtime may acknowledge the launch to the client knowing a crash
 // cannot lose it. An error means the launch must not be acknowledged.
 func (j *Journal) KernelCommitted(ctxID int64, call api.LaunchCall) error {
-	payload, err := encodePayload(kernelRecord{Call: call})
+	payload, err := EncodePayload(kernelRecord{Call: call})
 	if err != nil {
 		return err
 	}
@@ -320,7 +320,7 @@ func (j *Journal) CheckpointMark(ctxID int64) error {
 // SnapshotContext installs a context's complete state at once (journal
 // attach over a live runtime, RestoreState import). Synced.
 func (j *Journal) SnapshotContext(img *memmgr.ContextImage, pending []api.LaunchCall) error {
-	payload, err := encodePayload(imageRecord{Image: *img, Pending: pending})
+	payload, err := EncodePayload(imageRecord{Image: *img, Pending: pending})
 	if err != nil {
 		return err
 	}
@@ -394,20 +394,7 @@ func (j *Journal) compactLocked() error {
 	if err := j.sync(); err != nil {
 		return err
 	}
-	tmp := filepath.Join(j.dir, tmpName)
-	tf, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ckptlog: compaction temp: %w", err)
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			tf.Close()
-			os.Remove(tmp)
-		}
-	}()
-
-	hdrPayload, err := encodePayload(headerRecord{AppliedSeq: j.seq, Contexts: len(j.mirror)})
+	hdrPayload, err := EncodePayload(headerRecord{AppliedSeq: j.seq, Contexts: len(j.mirror)})
 	if err != nil {
 		return err
 	}
@@ -419,31 +406,18 @@ func (j *Journal) compactLocked() error {
 	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
 	for _, id := range ids {
 		mc := j.mirror[id]
-		payload, err := encodePayload(imageRecord{Image: *mc.imageOf(id), Pending: mc.pending})
+		payload, err := EncodePayload(imageRecord{Image: *mc.imageOf(id), Pending: mc.pending})
 		if err != nil {
 			return err
 		}
 		buf = encodeFrame(buf, frame{Type: RecImage, Ctx: id, Seq: j.seq, Payload: payload})
 	}
-	if _, err := tf.Write(buf); err != nil {
-		return fmt.Errorf("ckptlog: writing snapshot: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		return fmt.Errorf("ckptlog: syncing snapshot: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("ckptlog: closing snapshot: %w", err)
-	}
-
-	// Crash point 1: temp written and durable, rename not yet done. A
-	// crash here recovers from the OLD snapshot + full journal.
-	j.crashPoint(j.compact)
-
-	if err := os.Rename(tmp, filepath.Join(j.dir, snapshotName)); err != nil {
+	// Crash point 1 runs inside InstallFile once the temp is written and
+	// durable, before the rename: a crash there recovers from the OLD
+	// snapshot + full journal.
+	if err := InstallFile(filepath.Join(j.dir, snapshotName), WriteBytes(buf), func() { j.crashPoint(j.compact) }); err != nil {
 		return fmt.Errorf("ckptlog: installing snapshot: %w", err)
 	}
-	ok = true
-	syncDir(j.dir)
 
 	// Crash point 2: new snapshot installed, journal not yet truncated.
 	// A crash here recovers from the NEW snapshot; the journal's stale
@@ -485,13 +459,4 @@ func (j *Journal) Close() error {
 		return serr
 	}
 	return cerr
-}
-
-// syncDir fsyncs a directory so a rename inside it is durable. Best
-// effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
 }

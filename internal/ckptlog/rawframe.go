@@ -2,12 +2,13 @@ package ckptlog
 
 // This file generalizes the journal's physical layer — the CRC-framed
 // record format and its torn/corrupt classification — into an exported
-// codec that other durable subsystems reuse. The control-plane store
-// (internal/ctrlplane) is the first client: its keyed WAL shares this
-// exact frame layout, so one fuzzer-hardened decoder backs both the
-// checkpoint journal and the cluster store, and both inherit the same
-// recovery discipline (truncate torn tails, quarantine corrupt
-// payloads, never panic on disk bytes).
+// codec that other durable subsystems reuse: the control-plane store's
+// keyed WAL (internal/ctrlplane) and the migration wire protocol and
+// chunk spool (internal/failover) share this exact frame layout, so one
+// fuzzer-hardened decoder backs the checkpoint journal, the cluster
+// store and migration, and all inherit the same recovery discipline
+// (truncate torn tails, quarantine corrupt payloads, never panic on
+// disk or wire bytes).
 
 // RawFrame is one CRC-framed record as seen by an external client of
 // the codec: Kind is the client-defined record type (must be non-zero —
@@ -48,8 +49,8 @@ func EncodeRawFrame(buf []byte, f RawFrame) []byte {
 
 // DecodeRawFrame decodes one frame from data. n is the number of bytes
 // consumed (0 when torn). It never panics on arbitrary input — the
-// decoder is fuzz-hardened by the journal's recovery fuzzer and the
-// control-plane store's.
+// decoder is fuzz-hardened by the journal's recovery fuzzer, the
+// control-plane store's and the migration decoder's.
 func DecodeRawFrame(data []byte) (f RawFrame, n int, res FrameResult) {
 	fr, n, r := decodeFrame(data)
 	f = RawFrame{Kind: uint8(fr.Type), ID: fr.Ctx, Seq: fr.Seq, Payload: fr.Payload}
@@ -61,7 +62,3 @@ func DecodeRawFrame(data []byte) (f RawFrame, n int, res FrameResult) {
 	}
 	return f, n, FrameOK
 }
-
-// SyncDir fsyncs a directory so a rename inside it is durable. Best
-// effort: some filesystems refuse directory fsync.
-func SyncDir(dir string) { syncDir(dir) }

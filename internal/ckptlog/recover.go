@@ -145,7 +145,7 @@ func (j *Journal) recoverSnapshot(rec *Recovered, quarantined map[int64]bool) er
 		return ErrCorruptSnapshot
 	}
 	var hdr headerRecord
-	if err := decodePayload(f.Payload, &hdr); err != nil {
+	if err := DecodePayload(f.Payload, &hdr); err != nil {
 		return ErrCorruptSnapshot
 	}
 	j.seq = hdr.AppliedSeq
@@ -182,7 +182,7 @@ func (j *Journal) recoverSnapshot(rec *Recovered, quarantined map[int64]bool) er
 			continue
 		}
 		var ir imageRecord
-		if err := decodePayload(f.Payload, &ir); err != nil {
+		if err := DecodePayload(f.Payload, &ir); err != nil {
 			quarantined[f.Ctx] = true
 			rec.Quarantined = append(rec.Quarantined, Quarantine{
 				CtxID: f.Ctx, Where: "snapshot", Reason: "image does not decode",
@@ -267,7 +267,7 @@ func (j *Journal) applyRecord(f frame) error {
 	switch f.Type {
 	case RecImage:
 		var ir imageRecord
-		if err := decodePayload(f.Payload, &ir); err != nil {
+		if err := DecodePayload(f.Payload, &ir); err != nil {
 			return err
 		}
 		j.applyImage(f.Ctx, ir)
@@ -277,7 +277,7 @@ func (j *Journal) applyRecord(f frame) error {
 		delete(j.mirror, f.Ctx)
 	case RecEntryWritten:
 		var er entryRecord
-		if err := decodePayload(f.Payload, &er); err != nil {
+		if err := DecodePayload(f.Payload, &er); err != nil {
 			return err
 		}
 		mc := j.ctx(f.Ctx)
@@ -287,7 +287,7 @@ func (j *Journal) applyRecord(f frame) error {
 		}
 	case RecEntryFreed:
 		var fr freeRecord
-		if err := decodePayload(f.Payload, &fr); err != nil {
+		if err := DecodePayload(f.Payload, &fr); err != nil {
 			return err
 		}
 		if mc := j.mirror[f.Ctx]; mc != nil {
@@ -295,7 +295,7 @@ func (j *Journal) applyRecord(f frame) error {
 		}
 	case RecKernelCommitted:
 		var kr kernelRecord
-		if err := decodePayload(f.Payload, &kr); err != nil {
+		if err := DecodePayload(f.Payload, &kr); err != nil {
 			return err
 		}
 		mc := j.ctx(f.Ctx)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gvrt/internal/api"
+	"gvrt/internal/ckptlog"
 	"gvrt/internal/failover"
 	"gvrt/internal/faultinject"
 	"gvrt/internal/sim"
@@ -363,11 +364,11 @@ func TestMigrateFrameRejectsTornAndCorrupt(t *testing.T) {
 	conn := dst.clientConn()
 	defer conn.Close()
 
-	hello, err := failover.EncodePayload(failover.Hello{Session: 7, Owner: "src"})
+	hello, err := ckptlog.EncodePayload(failover.Hello{Session: 7, Owner: "src"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := failover.EncodeFrame(nil, failover.Frame{Type: failover.FrameHello, Session: 7, Payload: hello})
+	valid := ckptlog.EncodeRawFrame(nil, ckptlog.RawFrame{Kind: uint8(failover.FrameHello), ID: 7, Payload: hello})
 
 	for _, tc := range []struct {
 		name  string
@@ -393,9 +394,9 @@ func TestMigrateFrameRejectsTornAndCorrupt(t *testing.T) {
 	if err != nil || reply.Code != 0 {
 		t.Fatalf("valid hello after rejects: code %v, err %v", reply.Code, err)
 	}
-	rf, _, res := failover.DecodeFrame(reply.Data)
-	if res != failover.DecodeOK || rf.Type != failover.FrameNeed {
-		t.Fatalf("hello reply frame = %v type %d, want DecodeOK FrameNeed", res, rf.Type)
+	rf, _, ok := failover.DecodeMessage(reply.Data)
+	if !ok || failover.FrameType(rf.Kind) != failover.FrameNeed {
+		t.Fatalf("hello reply frame ok=%v kind %d, want FrameNeed", ok, rf.Kind)
 	}
 }
 

@@ -82,10 +82,10 @@ func FuzzDecodeOpRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeJSON(Op{ID: 7, Kind: OpDeviceDrain, State: StatePending, Device: 1}))
 	f.Add(encodeJSON(Quota{Tenant: "acme", MaxSessions: 4, HostBytes: 1 << 20}))
-	if p, err := encodeRec(txnRec{Puts: []kvRec{{Key: "a", Val: []byte("1")}}, Deletes: []string{"b"}}); err == nil {
+	if p, err := ckptlog.EncodePayload(txnRec{Puts: []kvRec{{Key: "a", Val: []byte("1")}}, Deletes: []string{"b"}}); err == nil {
 		f.Add(p)
 	}
-	if p, err := encodeRec(headerRec{AppliedSeq: 42, Keys: 3}); err == nil {
+	if p, err := ckptlog.EncodePayload(headerRec{AppliedSeq: 42, Keys: 3}); err == nil {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -94,7 +94,7 @@ func FuzzDecodeOpRecord(f *testing.F) {
 		var q Quota
 		_ = decodeJSON(data, &q)
 		for _, v := range []any{new(txnRec), new(headerRec), new(kvRec)} {
-			_ = decodeRec(data, v) // must not panic (hostile gob streams panic internally)
+			_ = ckptlog.DecodePayload(data, v) // must not panic (hostile gob streams panic internally)
 		}
 		// A full frame wrapping the bytes must classify, never panic.
 		frame := ckptlog.EncodeRawFrame(nil, ckptlog.RawFrame{Kind: kindTxn, Seq: 1, Payload: data})

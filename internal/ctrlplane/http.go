@@ -2,6 +2,7 @@ package ctrlplane
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -42,8 +43,7 @@ func RESTHandler(m *Manager) http.Handler {
 		var req struct {
 			Name string `json:"name"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		t, err := m.CreateTenant(req.Name)
@@ -82,8 +82,7 @@ func RESTHandler(m *Manager) http.Handler {
 	})
 	mux.HandleFunc("PUT /quotas/{tenant}", func(w http.ResponseWriter, r *http.Request) {
 		var req Quota
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		q, err := m.SetQuota(r.PathValue("tenant"), req)
@@ -135,8 +134,7 @@ func RESTHandler(m *Manager) http.Handler {
 	})
 	mux.HandleFunc("PUT /slos/{tenant}", func(w http.ResponseWriter, r *http.Request) {
 		var req SLO
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		s, err := m.SetSLO(r.PathValue("tenant"), req)
@@ -236,6 +234,26 @@ func (m *Manager) serveEvents(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		}
 	}
+}
+
+// maxBodyBytes bounds a REST request body. Every request is a small
+// JSON object; a larger body is refused before it is buffered.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, replying 413 to a body over
+// maxBodyBytes and 400 to a malformed one. It reports whether v is ready.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", maxBodyBytes))
+	} else {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	}
+	return false
 }
 
 // writeJSON writes a JSON response.

@@ -75,6 +75,25 @@ func TestSLORest(t *testing.T) {
 	}
 }
 
+// TestRESTRejectsOversizedBody: a request body over maxBodyBytes is
+// refused with 413 before it reaches the store.
+func TestRESTRejectsOversizedBody(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), newFakeHooks(1), ManagerOptions{})
+	before := m.store.Seq()
+	body := `{"name": "` + strings.Repeat("a", maxBodyBytes) + `"}`
+	w := httptest.NewRecorder()
+	RESTHandler(m).ServeHTTP(w, httptest.NewRequest("POST", "/tenants", strings.NewReader(body)))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /tenants = %d, want 413", w.Code)
+	}
+	if got := m.Tenants(); len(got) != 0 {
+		t.Fatalf("oversized POST created tenants %+v", got)
+	}
+	if after := m.store.Seq(); after != before {
+		t.Fatalf("store seq moved %d -> %d on a refused request", before, after)
+	}
+}
+
 // TestEventsStream covers the SSE surface: commits and injected SLO
 // events arrive as data lines, heartbeats arrive while idle, and a
 // client disconnect reaps the watcher.

@@ -22,8 +22,6 @@
 package ctrlplane
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,7 +38,6 @@ import (
 const (
 	snapName = "store.snap"
 	walName  = "store.wal"
-	tmpName  = "store.tmp"
 )
 
 // DefaultCompactBytes is the WAL growth (bytes appended since the last
@@ -234,7 +231,7 @@ func (s *Store) recoverSnapshot() error {
 		return ErrCorruptSnapshot
 	}
 	var hdr headerRec
-	if err := decodeRec(f.Payload, &hdr); err != nil {
+	if err := ckptlog.DecodePayload(f.Payload, &hdr); err != nil {
 		return ErrCorruptSnapshot
 	}
 	s.applied = hdr.AppliedSeq
@@ -258,7 +255,7 @@ func (s *Store) recoverSnapshot() error {
 		}
 		if f.Kind == kindEntry {
 			var kv kvRec
-			if err := decodeRec(f.Payload, &kv); err != nil {
+			if err := ckptlog.DecodePayload(f.Payload, &kv); err != nil {
 				s.stats.Quarantined++
 				s.logf("snapshot entry quarantined (decode: %v)", err)
 			} else {
@@ -306,7 +303,7 @@ func (s *Store) recoverWAL() error {
 		}
 		if f.Kind == kindTxn && f.Seq > s.applied {
 			var txn txnRec
-			if err := decodeRec(f.Payload, &txn); err != nil {
+			if err := ckptlog.DecodePayload(f.Payload, &txn); err != nil {
 				s.stats.Quarantined++
 				s.logf("WAL record seq %d quarantined (decode: %v)", f.Seq, err)
 			} else {
@@ -397,7 +394,7 @@ func (s *Store) Commit(t *Txn) error {
 	if t.empty() {
 		return nil
 	}
-	payload, err := encodeRec(t.rec)
+	payload, err := ckptlog.EncodePayload(t.rec)
 	if err != nil {
 		return err
 	}
@@ -463,20 +460,7 @@ func (s *Store) Compact() error {
 		s.dead = true
 		return fmt.Errorf("ctrlplane: pre-compaction fsync: %w", err)
 	}
-	tmp := filepath.Join(s.dir, tmpName)
-	tf, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ctrlplane: compaction temp: %w", err)
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			tf.Close()
-			os.Remove(tmp)
-		}
-	}()
-
-	hdr, err := encodeRec(headerRec{AppliedSeq: s.seq, Keys: len(s.kv)})
+	hdr, err := ckptlog.EncodePayload(headerRec{AppliedSeq: s.seq, Keys: len(s.kv)})
 	if err != nil {
 		return err
 	}
@@ -487,31 +471,18 @@ func (s *Store) Compact() error {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		payload, err := encodeRec(kvRec{Key: k, Val: s.kv[k]})
+		payload, err := ckptlog.EncodePayload(kvRec{Key: k, Val: s.kv[k]})
 		if err != nil {
 			return err
 		}
 		buf = ckptlog.EncodeRawFrame(buf, ckptlog.RawFrame{Kind: kindEntry, Seq: s.seq, Payload: payload})
 	}
-	if _, err := tf.Write(buf); err != nil {
-		return fmt.Errorf("ctrlplane: writing snapshot: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		return fmt.Errorf("ctrlplane: syncing snapshot: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("ctrlplane: closing snapshot: %w", err)
-	}
-
-	// Crash point 1: temp written and durable, rename not yet done. A
-	// crash here recovers from the OLD snapshot + full WAL.
-	s.crashPoint(s.compact)
-
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapName)); err != nil {
+	// Crash point 1 runs inside InstallFile once the temp is written and
+	// durable, before the rename: a crash there recovers from the OLD
+	// snapshot + full WAL.
+	if err := ckptlog.InstallFile(filepath.Join(s.dir, snapName), ckptlog.WriteBytes(buf), func() { s.crashPoint(s.compact) }); err != nil {
 		return fmt.Errorf("ctrlplane: installing snapshot: %w", err)
 	}
-	ok = true
-	ckptlog.SyncDir(s.dir)
 
 	// Crash point 2: new snapshot installed, WAL not yet truncated. A
 	// crash here recovers from the NEW snapshot; the WAL's stale records
@@ -646,28 +617,4 @@ func (s *Store) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
 		s.opts.Logf(format, args...)
 	}
-}
-
-// encodeRec gob-encodes a record payload.
-func encodeRec(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("ctrlplane: encoding record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeRec gob-decodes a record payload. Any failure — including a
-// panic from a hostile gob stream — is reported as an error, never a
-// crash: this feeds on disk bytes.
-func decodeRec(data []byte, v any) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("ctrlplane: record decode panicked: %v", r)
-		}
-	}()
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("ctrlplane: decoding record: %w", err)
-	}
-	return nil
 }

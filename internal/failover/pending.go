@@ -1,16 +1,19 @@
 package failover
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+
+	"gvrt/internal/ckptlog"
 )
 
 // This file implements the target side's crash safety: an import in
-// progress is recorded as a pending-operation sidecar (heketi's
-// pending-op pattern) next to a spool of the chunk frames received so
-// far. The records buy two properties:
+// progress is recorded as a pending operation (heketi's pending-op
+// pattern) — a spool file whose first frame is the PendingRecord and
+// whose later frames are the chunks received so far. The spool buys two
+// properties:
 //
 //   - Resumable offsets: a transfer that broke mid-stream (source died,
 //     partition) leaves its spooled chunks on disk; when the source —
@@ -18,25 +21,26 @@ import (
 //     epoch, the target excludes the spooled chunks from its need-set,
 //     so only the missing tail crosses the wire again.
 //   - Clean abort: a target that crashed mid-import comes back up with
-//     a pending record but no imported session. Recovery resolves the
-//     record by deleting it and its spool — the import either committed
-//     atomically (record gone, session journaled) or never happened.
+//     a spool but no imported session. Recovery resolves it by deleting
+//     the spool — the import either committed atomically (spool gone,
+//     session journaled) or never happened.
 //
 // An empty dir runs the spool purely in memory: no crash durability,
 // but the same resumable-offsets behaviour for live-target retries.
 
-// PendingRecord describes one in-flight import.
+// PendingRecord describes one in-flight import. It is the payload of the
+// spool's first frame, of kind FrameHello.
 type PendingRecord struct {
-	Session int64  `json:"session"`
-	Owner   string `json:"owner"`
-	Epoch   uint64 `json:"epoch"`
+	Session int64
+	Owner   string
+	Epoch   uint64
 	// Total is the number of chunks the transfer's manifest names.
-	Total int `json:"total_chunks"`
+	Total int
 }
 
-func pendingPath(dir string, session int64) string {
-	return filepath.Join(dir, fmt.Sprintf("mig-%d.pending", session))
-}
+// maxSpoolHeader bounds the bytes PendingOps reads to find a spool's
+// header frame.
+const maxSpoolHeader = 64 << 10
 
 func spoolPath(dir string, session int64) string {
 	return filepath.Join(dir, fmt.Sprintf("mig-%d.spool", session))
@@ -52,24 +56,17 @@ type Spool struct {
 }
 
 // OpenSpool starts (or resumes) the spool for rec. With a directory it
-// writes the pending record atomically, then replays any existing spool
-// file: chunk frames recorded by a previous attempt at the same epoch
-// are loaded as already-received; a spool from a different epoch is
-// stale (the image changed) and is discarded. A torn spool tail — the
-// crash arrived mid-append — is truncated away, exactly like the
-// journal's recovery.
+// replays the existing spool file: when its header frame is rec, the
+// chunk frames recorded by a previous attempt are loaded as
+// already-received, and a torn tail — the crash arrived mid-append — is
+// truncated away, exactly like the journal's recovery. A missing, torn
+// or different header (another epoch or owner: the image may have
+// changed) makes the spool stale: the file is truncated and a fresh,
+// fsynced header written.
 func OpenSpool(dir string, rec PendingRecord) (*Spool, error) {
 	s := &Spool{dir: dir, rec: rec, chunks: make(map[ChunkID][]byte)}
 	if dir == "" {
 		return s, nil
-	}
-	prev, err := readPending(pendingPath(dir, rec.Session))
-	stale := err != nil || prev.Epoch != rec.Epoch || prev.Owner != rec.Owner
-	if err := writePending(pendingPath(dir, rec.Session), rec); err != nil {
-		return nil, err
-	}
-	if stale {
-		_ = os.Remove(spoolPath(dir, rec.Session))
 	}
 	f, err := os.OpenFile(spoolPath(dir, rec.Session), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -83,21 +80,26 @@ func OpenSpool(dir string, rec PendingRecord) (*Spool, error) {
 	return s, nil
 }
 
-// load replays the spool file into the chunk map and truncates any torn
-// or corrupt tail so later appends extend a clean prefix.
+// load replays the spool file into the chunk map, then truncates it to
+// its valid prefix — just past the last intact chunk, or to nothing
+// plus a fresh header when the spool is stale — so later appends extend
+// a clean prefix.
 func (s *Spool) load() error {
-	data, err := os.ReadFile(spoolPath(s.dir, s.rec.Session))
+	data, err := io.ReadAll(s.f)
 	if err != nil {
 		return fmt.Errorf("failover: reading spool: %w", err)
 	}
-	valid := 0
-	for len(data[valid:]) > 0 {
-		f, n, res := DecodeFrame(data[valid:])
-		if res != DecodeOK || f.Type != FrameChunk {
+	prev, valid, ok := decodeSpoolHeader(data)
+	if !ok || prev != s.rec {
+		valid = 0 // stale: start over from a fresh header
+	}
+	for valid > 0 && valid < len(data) {
+		f, n, res := ckptlog.DecodeRawFrame(data[valid:])
+		if res != ckptlog.FrameOK || FrameType(f.Kind) != FrameChunk {
 			break
 		}
 		var c Chunk
-		if DecodePayload(f.Payload, &c) != nil {
+		if ckptlog.DecodePayload(f.Payload, &c) != nil {
 			break
 		}
 		s.chunks[c.ID] = c.Data
@@ -105,13 +107,33 @@ func (s *Spool) load() error {
 	}
 	if valid < len(data) {
 		if err := s.f.Truncate(int64(valid)); err != nil {
-			return fmt.Errorf("failover: truncating torn spool: %w", err)
+			return fmt.Errorf("failover: truncating spool: %w", err)
 		}
 	}
-	if _, err := s.f.Seek(int64(valid), 0); err != nil {
+	if _, err := s.f.Seek(int64(valid), io.SeekStart); err != nil {
 		return fmt.Errorf("failover: seeking spool: %w", err)
 	}
+	if valid > 0 {
+		return nil
+	}
+	hdr := ckptlog.EncodeRawFrame(nil, ckptlog.RawFrame{Kind: uint8(FrameHello), ID: s.rec.Session, Payload: mustEncode(s.rec)})
+	if _, err := s.f.Write(hdr); err != nil {
+		return fmt.Errorf("failover: writing spool header: %w", err)
+	}
+	if err := s.f.Sync(); err != nil {
+		return fmt.Errorf("failover: syncing spool header: %w", err)
+	}
 	return nil
+}
+
+// decodeSpoolHeader decodes the PendingRecord heading a spool file and
+// the bytes it spans.
+func decodeSpoolHeader(data []byte) (rec PendingRecord, n int, ok bool) {
+	f, n, res := ckptlog.DecodeRawFrame(data)
+	if res != ckptlog.FrameOK || FrameType(f.Kind) != FrameHello || ckptlog.DecodePayload(f.Payload, &rec) != nil {
+		return PendingRecord{}, 0, false
+	}
+	return rec, n, true
 }
 
 // Has reports whether the chunk was already received (or satisfied from
@@ -137,7 +159,7 @@ func (s *Spool) Put(id ChunkID, data []byte) error {
 	if s.f == nil {
 		return nil
 	}
-	frame := EncodeFrame(nil, Frame{Type: FrameChunk, Session: s.rec.Session, Payload: mustEncode(Chunk{ID: id, Data: data})})
+	frame := ckptlog.EncodeRawFrame(nil, ckptlog.RawFrame{Kind: uint8(FrameChunk), ID: s.rec.Session, Payload: mustEncode(Chunk{ID: id, Data: data})})
 	if _, err := s.f.Write(frame); err != nil {
 		return fmt.Errorf("failover: spooling chunk: %w", err)
 	}
@@ -150,22 +172,21 @@ func (s *Spool) PutLocal(id ChunkID, data []byte) {
 	s.chunks[id] = data
 }
 
-// Resolve finishes the pending operation: the record and spool are
-// deleted. Call it after the import committed (the journal now owns the
-// session) or when aborting a dead transfer.
+// Resolve finishes the pending operation: the spool is deleted. Call it
+// after the import committed (the journal now owns the session) or when
+// aborting a dead transfer.
 func (s *Spool) Resolve() {
 	if s.f != nil {
 		s.f.Close()
 		s.f = nil
 	}
 	if s.dir != "" {
-		_ = os.Remove(pendingPath(s.dir, s.rec.Session))
 		_ = os.Remove(spoolPath(s.dir, s.rec.Session))
 	}
 	s.chunks = make(map[ChunkID][]byte)
 }
 
-// Close releases the spool file without deleting anything — the pending
+// Close releases the spool file without deleting it — the pending
 // record survives for a later resume or recovery-time abort.
 func (s *Spool) Close() {
 	if s.f != nil {
@@ -174,15 +195,19 @@ func (s *Spool) Close() {
 	}
 }
 
-// PendingOps lists the pending-operation records in dir.
+// PendingOps lists the pending-operation records of the spools in dir.
+// A spool whose header is torn is skipped: it names no import.
 func PendingOps(dir string) []PendingRecord {
-	if dir == "" {
-		return nil
-	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "mig-*.pending"))
 	var recs []PendingRecord
-	for _, path := range matches {
-		if rec, err := readPending(path); err == nil {
+	for _, path := range spools(dir) {
+		f, err := os.Open(path)
+		if err != nil {
+			continue
+		}
+		// The header frame is small; the chunks after it need not be read.
+		data, _ := io.ReadAll(io.LimitReader(f, maxSpoolHeader))
+		f.Close()
+		if rec, _, ok := decodeSpoolHeader(data); ok {
 			recs = append(recs, rec)
 		}
 	}
@@ -191,51 +216,34 @@ func PendingOps(dir string) []PendingRecord {
 
 // ResolvePending aborts every pending import in dir (target restart:
 // nothing in-flight can complete, and a committed import already
-// resolved its record). Returns the number of records aborted.
+// resolved its spool) by deleting every spool, torn ones included.
+// Returns the number of records aborted.
 func ResolvePending(dir string, logf func(format string, args ...any)) int {
 	recs := PendingOps(dir)
-	for _, rec := range recs {
-		_ = os.Remove(pendingPath(dir, rec.Session))
-		_ = os.Remove(spoolPath(dir, rec.Session))
-		if logf != nil {
+	for _, path := range spools(dir) {
+		_ = os.Remove(path)
+	}
+	if logf != nil {
+		for _, rec := range recs {
 			logf("failover: aborted pending import of session %d (owner %s epoch %d)", rec.Session, rec.Owner, rec.Epoch)
 		}
 	}
 	return len(recs)
 }
 
-func readPending(path string) (PendingRecord, error) {
-	var rec PendingRecord
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rec, err
+func spools(dir string) []string {
+	if dir == "" {
+		return nil
 	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return rec, fmt.Errorf("failover: corrupt pending record %s: %w", path, err)
-	}
-	return rec, nil
-}
-
-func writePending(path string, rec PendingRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("failover: writing pending record: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("failover: publishing pending record: %w", err)
-	}
-	return nil
+	matches, _ := filepath.Glob(filepath.Join(dir, "mig-*.spool"))
+	return matches
 }
 
 func mustEncode(v any) []byte {
-	b, err := EncodePayload(v)
+	b, err := ckptlog.EncodePayload(v)
 	if err != nil {
-		// Chunk payloads are plain structs of bytes and ints; gob
-		// cannot fail on them.
+		// Spool payloads are plain structs of bytes, ints and strings;
+		// gob cannot fail on them.
 		panic(err)
 	}
 	return b

@@ -166,6 +166,11 @@ func TestResolvePendingAbortsAllAtBoot(t *testing.T) {
 		}
 		s.Close() // all three die mid-import
 	}
+	// A spool whose header never made it to disk names no import, but
+	// boot removes it all the same.
+	if err := os.WriteFile(spoolPath(dir, 9), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var logged int
 	if n := ResolvePending(dir, func(string, ...any) { logged++ }); n != 3 {
 		t.Fatalf("ResolvePending aborted %d, want 3", n)
@@ -175,6 +180,9 @@ func TestResolvePendingAbortsAllAtBoot(t *testing.T) {
 	}
 	if ops := PendingOps(dir); len(ops) != 0 {
 		t.Fatalf("pending ops survived boot abort: %+v", ops)
+	}
+	if _, err := os.Stat(spoolPath(dir, 9)); !os.IsNotExist(err) {
+		t.Fatalf("torn spool survived boot abort: %v", err)
 	}
 	// Idempotent on a clean dir.
 	if n := ResolvePending(dir, nil); n != 0 {
@@ -189,11 +197,41 @@ func TestPendingOpsSkipsCorruptRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	if err := os.WriteFile(pendingPath(dir, 2), []byte("{torn json"), 0o644); err != nil {
+	// Session 2's spool header is torn: a crash landed mid-write.
+	rec2 := PendingRecord{Session: 2, Owner: "src", Epoch: 1}
+	s2, err := OpenSpool(dir, rec2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Put(ChunkID{0, 0}, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	data, err := os.ReadFile(spoolPath(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append([]byte(nil), data...)
+	torn[10] ^= 0xff
+	if err := os.WriteFile(spoolPath(dir, 2), torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ops := PendingOps(dir)
 	if len(ops) != 1 || ops[0].Session != 1 {
-		t.Fatalf("PendingOps with corrupt sibling = %+v, want just session 1", ops)
+		t.Fatalf("PendingOps with torn sibling = %+v, want just session 1", ops)
+	}
+
+	// Reopening the torn spool treats it as stale: no chunk survives and
+	// a fresh header makes it a pending op again.
+	s2, err = OpenSpool(dir, rec2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Count() != 0 {
+		t.Fatalf("torn-header spool kept %d chunks", s2.Count())
+	}
+	s2.Close()
+	if ops := PendingOps(dir); len(ops) != 2 {
+		t.Fatalf("PendingOps after reopening the torn spool = %+v, want 2", ops)
 	}
 }

@@ -1,19 +1,15 @@
 package failover
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
-	"hash/crc32"
-
 	"gvrt/internal/api"
+	"gvrt/internal/ckptlog"
 	"gvrt/internal/memmgr"
 )
 
-// This file defines the migration wire protocol: CRC-framed messages
-// (the ckptlog frame idiom with its own magic) that ship a sealed
-// context image from a source node to a target. The exchange:
+// This file defines the migration wire protocol: ckptlog frames
+// (RawFrame{Kind: FrameType, ID: session, Seq, Payload}, payloads
+// encoded with ckptlog.EncodePayload) that ship a sealed context image
+// from a source node to a target. The exchange:
 //
 //	source → target  Hello   (entry manifests: per-chunk hash/len/CRC)
 //	target → source  Need    (chunks not satisfiable from the target's
@@ -27,6 +23,13 @@ import (
 // like the journal), so a torn or corrupt frame is detected at the
 // target before any of its bytes can reach an imported image. The
 // decoder never panics on hostile input.
+//
+// Chunk identity is the memory manager's dedup identity: chunks are
+// memmgr.DedupChunkSize long and named by memmgr.ChunkHash and
+// memmgr.ChunkSum, so a manifest chunk of an entry's data has the same
+// (hash, bytes) as the interned chunk a sealed copy of that entry
+// produced — which is what lets the target satisfy chunks from its own
+// dedup store without any transfer.
 
 // FrameType tags a migration frame.
 type FrameType uint8
@@ -48,105 +51,16 @@ const (
 	FrameResult
 )
 
-// Frame layout (all integers big-endian):
-//
-//	magic(4) type(1) session(8) seq(8) payloadLen(4) headerCRC(4)
-//	payload... payloadCRC(4)
-const (
-	frameMagic   = 0x47564d46 // "GVMF"
-	frameHdrLen  = 4 + 1 + 8 + 8 + 4 + 4
-	frameTailLen = 4
-	// maxPayloadLen bounds a frame so a corrupt length field cannot
-	// drive a huge allocation. Chunks are ChunkSize; Hello manifests
-	// and pending-kernel lists stay far below this.
-	maxPayloadLen = 1 << 28
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Frame is one decoded migration frame.
-type Frame struct {
-	Type    FrameType
-	Session int64
-	Seq     uint64
-	Payload []byte
+// DecodeMessage decodes one migration message from the head of data:
+// a verified ckptlog frame whose Kind is a known FrameType. ok is false
+// for a torn or corrupt frame and for an unknown kind; n is then 0.
+func DecodeMessage(data []byte) (f ckptlog.RawFrame, n int, ok bool) {
+	f, n, res := ckptlog.DecodeRawFrame(data)
+	if res != ckptlog.FrameOK || FrameType(f.Kind) == FrameInvalid || FrameType(f.Kind) > FrameResult {
+		return ckptlog.RawFrame{}, 0, false
+	}
+	return f, n, true
 }
-
-// EncodeFrame appends the encoded frame to buf and returns it.
-func EncodeFrame(buf []byte, f Frame) []byte {
-	var hdr [frameHdrLen]byte
-	binary.BigEndian.PutUint32(hdr[0:], frameMagic)
-	hdr[4] = byte(f.Type)
-	binary.BigEndian.PutUint64(hdr[5:], uint64(f.Session))
-	binary.BigEndian.PutUint64(hdr[13:], f.Seq)
-	binary.BigEndian.PutUint32(hdr[21:], uint32(len(f.Payload)))
-	binary.BigEndian.PutUint32(hdr[25:], crc32.Checksum(hdr[:25], crcTable))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, f.Payload...)
-	var tail [frameTailLen]byte
-	binary.BigEndian.PutUint32(tail[:], crc32.Checksum(f.Payload, crcTable))
-	return append(buf, tail[:]...)
-}
-
-// DecodeResult classifies a decode attempt.
-type DecodeResult int
-
-// Decode outcomes.
-const (
-	// DecodeOK: a whole valid frame was consumed.
-	DecodeOK DecodeResult = iota
-	// DecodeTorn: the data ends mid-frame (short header or payload) —
-	// more bytes may complete it.
-	DecodeTorn
-	// DecodeCorrupt: the frame is structurally invalid (bad magic,
-	// CRC mismatch, impossible length); the stream is poisoned.
-	DecodeCorrupt
-)
-
-// DecodeFrame decodes one frame from the head of data, returning the
-// frame, the bytes consumed, and the classification. It never panics
-// and never allocates based on unverified lengths beyond the checked
-// bound.
-func DecodeFrame(data []byte) (Frame, int, DecodeResult) {
-	if len(data) < frameHdrLen {
-		return Frame{}, 0, DecodeTorn
-	}
-	if binary.BigEndian.Uint32(data[0:]) != frameMagic {
-		return Frame{}, 0, DecodeCorrupt
-	}
-	if binary.BigEndian.Uint32(data[25:]) != crc32.Checksum(data[:25], crcTable) {
-		return Frame{}, 0, DecodeCorrupt
-	}
-	plen := binary.BigEndian.Uint32(data[21:])
-	if plen > maxPayloadLen {
-		return Frame{}, 0, DecodeCorrupt
-	}
-	total := frameHdrLen + int(plen) + frameTailLen
-	if len(data) < total {
-		return Frame{}, 0, DecodeTorn
-	}
-	payload := data[frameHdrLen : frameHdrLen+int(plen)]
-	if binary.BigEndian.Uint32(data[frameHdrLen+int(plen):]) != crc32.Checksum(payload, crcTable) {
-		return Frame{}, 0, DecodeCorrupt
-	}
-	f := Frame{
-		Type:    FrameType(data[4]),
-		Session: int64(binary.BigEndian.Uint64(data[5:])),
-		Seq:     binary.BigEndian.Uint64(data[13:]),
-		Payload: append([]byte(nil), payload...),
-	}
-	if f.Type == FrameInvalid || f.Type > FrameResult {
-		return Frame{}, 0, DecodeCorrupt
-	}
-	return f, total, DecodeOK
-}
-
-// ChunkSize is the migration transfer granularity. It deliberately
-// matches the memory manager's dedup chunking, so a manifest chunk of
-// an entry's data has the same (hash, bytes) as the interned chunk a
-// sealed copy of that entry produced — which is what lets the target
-// satisfy chunks from its own dedup store without any transfer.
-const ChunkSize = 64 << 10
 
 // ChunkRef identifies a chunk's content: FNV-1a hash (the dedup store's
 // key), exact length, and a CRC-32C guarding against hash collisions
@@ -205,32 +119,33 @@ type Result struct {
 	Detail string
 }
 
-// ManifestOf chunks data at ChunkSize and returns the per-chunk refs.
+// ManifestOf chunks data at memmgr.DedupChunkSize and returns the
+// per-chunk refs.
 func ManifestOf(data []byte) []ChunkRef {
 	if len(data) == 0 {
 		return nil
 	}
-	refs := make([]ChunkRef, 0, (len(data)+ChunkSize-1)/ChunkSize)
-	for off := 0; off < len(data); off += ChunkSize {
-		c := ChunkAt(data, off/ChunkSize)
+	refs := make([]ChunkRef, 0, (len(data)+memmgr.DedupChunkSize-1)/memmgr.DedupChunkSize)
+	for off := 0; off < len(data); off += memmgr.DedupChunkSize {
+		c := ChunkAt(data, off/memmgr.DedupChunkSize)
 		refs = append(refs, ChunkRef{
-			Hash: fnv64a(c),
+			Hash: memmgr.ChunkHash(c),
 			Len:  uint32(len(c)),
-			Sum:  crc32.Checksum(c, crcTable),
+			Sum:  memmgr.ChunkSum(c),
 		})
 	}
 	return refs
 }
 
-// ChunkAt returns the i-th ChunkSize slice of data (short final chunk),
+// ChunkAt returns the i-th memmgr.DedupChunkSize slice of data (short final chunk),
 // or nil when i is outside the manifest — a hostile Need frame naming an
 // absurd index must not panic the source.
 func ChunkAt(data []byte, i int) []byte {
-	if i < 0 || i*ChunkSize >= len(data) {
+	if i < 0 || i*memmgr.DedupChunkSize >= len(data) {
 		return nil
 	}
-	lo := i * ChunkSize
-	hi := lo + ChunkSize
+	lo := i * memmgr.DedupChunkSize
+	hi := lo + memmgr.DedupChunkSize
 	if hi > len(data) {
 		hi = len(data)
 	}
@@ -240,44 +155,6 @@ func ChunkAt(data []byte, i int) []byte {
 // VerifyChunk reports whether data matches the manifest ref.
 func VerifyChunk(ref ChunkRef, data []byte) bool {
 	return uint32(len(data)) == ref.Len &&
-		fnv64a(data) == ref.Hash &&
-		crc32.Checksum(data, crcTable) == ref.Sum
-}
-
-// fnv64a matches the memory manager's dedup-store hash (FNV-1a 64).
-func fnv64a(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
-// EncodePayload gob-encodes a frame payload.
-func EncodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("failover: encoding payload: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePayload gob-decodes a frame payload into v. Hostile bytes that
-// panic the gob decoder are reported as an error wrapping
-// api.ErrInvalidValue, never a crash.
-func DecodePayload(data []byte, v any) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("failover: decoding payload panicked: %v: %w", p, api.ErrInvalidValue)
-		}
-	}()
-	if derr := gob.NewDecoder(bytes.NewReader(data)).Decode(v); derr != nil {
-		return fmt.Errorf("failover: decoding payload: %v: %w", derr, api.ErrInvalidValue)
-	}
-	return nil
+		memmgr.ChunkHash(data) == ref.Hash &&
+		memmgr.ChunkSum(data) == ref.Sum
 }

@@ -33,10 +33,12 @@ import (
 // bytes that sealing previously released, so occupancy never exceeds
 // what the same workload would have used with deduplication off.
 
-// dedupChunkSize is the granularity of content addressing. 64 KiB
+// DedupChunkSize is the granularity of content addressing. 64 KiB
 // amortises the hash over real pages while still sharing partially
-// identical buffers.
-const dedupChunkSize = 64 << 10
+// identical buffers. Migration chunks its manifests at this size with
+// ChunkHash and ChunkSum, so a shipped chunk and an interned one share
+// an identity: that is what lets identical content ship zero bytes.
+const DedupChunkSize = 64 << 10
 
 // swapChunk is one interned chunk. data is immutable once the chunk is
 // published: mutators never write through a chunk, they rematerialise
@@ -54,8 +56,9 @@ type dedupStore struct {
 	chunks map[uint64][]*swapChunk
 }
 
-// fnv64a is FNV-1a, inlined to keep the per-chunk hash allocation-free.
-func fnv64a(b []byte) uint64 {
+// ChunkHash is FNV-1a 64, the dedup store's key, inlined to keep the
+// per-chunk hash allocation-free.
+func ChunkHash(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
 		h ^= uint64(c)
@@ -79,17 +82,17 @@ func (m *Manager) seal(p *PTE) {
 		return
 	}
 	buf := p.data
-	p.chunks = make([]*swapChunk, 0, (len(buf)+dedupChunkSize-1)/dedupChunkSize)
+	p.chunks = make([]*swapChunk, 0, (len(buf)+DedupChunkSize-1)/DedupChunkSize)
 	var saved uint64
 	d := &m.dedup
 	d.mu.Lock()
-	for off := 0; off < len(buf); off += dedupChunkSize {
-		end := off + dedupChunkSize
+	for off := 0; off < len(buf); off += DedupChunkSize {
+		end := off + DedupChunkSize
 		if end > len(buf) {
 			end = len(buf)
 		}
 		part := buf[off:end:end]
-		h := fnv64a(part)
+		h := ChunkHash(part)
 		var found *swapChunk
 		for _, c := range d.chunks[h] {
 			if len(c.data) == len(part) && bytes.Equal(c.data, part) {
@@ -280,12 +283,15 @@ func (m *Manager) DedupLookup(hash uint64, length int, sum uint32) ([]byte, bool
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, c := range d.chunks[hash] {
-		if len(c.data) == length && crc32.Checksum(c.data, dedupCRCTable) == sum {
+		if len(c.data) == length && ChunkSum(c.data) == sum {
 			return append([]byte(nil), c.data...), true
 		}
 	}
 	return nil, false
 }
 
-// dedupCRCTable matches the failover wire protocol's chunk checksum.
-var dedupCRCTable = crc32.MakeTable(crc32.Castagnoli)
+var chunkCRCTable = crc32.MakeTable(crc32.Castagnoli)
+
+// ChunkSum is a chunk's CRC-32C: it tells hash-colliding chunks apart
+// and guards migrated chunks against corruption.
+func ChunkSum(b []byte) uint32 { return crc32.Checksum(b, chunkCRCTable) }

@@ -48,9 +48,9 @@ func pagePattern(page int, size uint64) []byte {
 	// Stamp every chunk with its (page, chunk) coordinates: byte
 	// arithmetic alone collides across pages (everything is mod 256),
 	// an explicit tag cannot.
-	for c := uint64(0); c*dedupChunkSize < size; c++ {
-		data[c*dedupChunkSize] = byte(page)
-		data[c*dedupChunkSize+1] = byte(c)
+	for c := uint64(0); c*DedupChunkSize < size; c++ {
+		data[c*DedupChunkSize] = byte(page)
+		data[c*DedupChunkSize+1] = byte(c)
 	}
 	return data
 }
@@ -60,7 +60,7 @@ func pagePattern(page int, size uint64) []byte {
 // sharing (COW), and frees drop chunk refcounts to zero.
 func TestDedupSealSharing(t *testing.T) {
 	m := New(true, 0)
-	const size = 2 * dedupChunkSize
+	const size = 2 * DedupChunkSize
 	data := pagePattern(1, size)
 
 	a := mustMalloc(t, m, 1, size)
@@ -138,7 +138,7 @@ func TestDedupSealSharing(t *testing.T) {
 func TestDedupConcurrentSwapOutAll(t *testing.T) {
 	m := New(true, 0)
 	const (
-		pageSize = 2 * dedupChunkSize
+		pageSize = 2 * DedupChunkSize
 		pages    = 8
 	)
 	ops := [2]*batchFakeOps{

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gvrt/internal/api"
+	"gvrt/internal/ckptlog"
 	"gvrt/internal/trace"
 )
 
@@ -58,6 +59,9 @@ const FlightSchema = "gvrt-flight/v1"
 // explicit Dump call (panic handlers), and — so an external SIGKILL
 // still leaves evidence — a periodic background flush (Run).
 type FlightRecorder struct {
+	// dumpMu serializes Dump: concurrent dumps (periodic flush, crash
+	// point, storm) would otherwise race on the one temp file.
+	dumpMu   sync.Mutex
 	mu       sync.Mutex
 	node     string
 	path     string
@@ -170,6 +174,8 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 	if f == nil {
 		return "", nil
 	}
+	f.dumpMu.Lock()
+	defer f.dumpMu.Unlock()
 	f.mu.Lock()
 	d := FlightDump{
 		Schema:  FlightSchema,
@@ -206,11 +212,7 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 	if err := os.MkdirAll(filepath.Dir(f.path), 0o755); err != nil {
 		return "", err
 	}
-	tmp := f.path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp, f.path); err != nil {
+	if err := ckptlog.InstallFile(f.path, ckptlog.WriteBytes(buf), nil); err != nil {
 		return "", err
 	}
 	f.dumps.Add(1)

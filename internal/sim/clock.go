@@ -15,6 +15,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -46,10 +47,15 @@ func NewClock(scale float64) *Clock {
 // Scale reports the wall-seconds-per-model-second factor.
 func (c *Clock) Scale() float64 { return c.scale }
 
-// Now returns the model time elapsed since the clock was created.
+// Now returns the model time elapsed since the clock was created. It
+// saturates at the largest Duration instead of wrapping negative, which
+// a small scale reaches quickly (9.2 wall seconds at scale 1e-9).
 func (c *Clock) Now() time.Duration {
-	wall := time.Since(c.start)
-	return time.Duration(float64(wall) / c.scale)
+	model := float64(time.Since(c.start)) / c.scale
+	if model >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return time.Duration(model)
 }
 
 // sleepFloor is the empirically observed minimum wall duration of

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,20 @@ func TestNewClockDefaultScale(t *testing.T) {
 	c := NewClock(0.5)
 	if c.Scale() != 0.5 {
 		t.Errorf("Scale() = %v, want 0.5", c.Scale())
+	}
+}
+
+// TestClockNowSaturates: once wall/scale passes the Duration range, Now
+// stays at its maximum instead of wrapping negative.
+func TestClockNowSaturates(t *testing.T) {
+	c := NewClock(1e-9)
+	c.start = time.Now().Add(-10 * time.Second) // 1e19 model ns > MaxInt64
+	if got := c.Now(); got != math.MaxInt64 {
+		t.Fatalf("Now() = %d, want MaxInt64", got)
+	}
+	c.start = time.Now().Add(-5 * time.Second) // 5e18 model ns, in range
+	if got := c.Now(); got < 5*time.Second*1e9 || got == math.MaxInt64 {
+		t.Fatalf("Now() = %d, want >= 5e18 and unsaturated", got)
 	}
 }
 
