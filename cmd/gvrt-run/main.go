@@ -17,10 +17,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
-	"time"
 
 	"gvrt"
+	"gvrt/internal/trace"
 )
 
 func appByName(name string, cpuFrac float64) (gvrt.App, bool) {
@@ -68,23 +67,7 @@ func main() {
 				d.Index, d.Name, d.Healthy, d.ActiveVGPUs, d.VGPUs,
 				float64(d.BusyNS)/1e9, d.MemAvailable>>20, d.Capacity>>20, d.Launches)
 		}
-		if len(st.Histograms) > 0 {
-			keys := make([]string, 0, len(st.Histograms))
-			for k := range st.Histograms {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			fmt.Printf("  %-26s %9s %12s %12s\n", "histogram", "count", "p50", "p99")
-			for _, k := range keys {
-				h := st.Histograms[k]
-				if k == "swap_bytes" {
-					fmt.Printf("  %-26s %9d %12d %12d (bytes)\n", k, h.Count, h.Quantile(0.5), h.Quantile(0.99))
-					continue
-				}
-				fmt.Printf("  %-26s %9d %12v %12v\n", k, h.Count,
-					time.Duration(h.Quantile(0.5)), time.Duration(h.Quantile(0.99)))
-			}
-		}
+		trace.WriteHistTable(os.Stdout, st.Histograms)
 		return
 	}
 

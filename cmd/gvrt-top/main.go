@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"gvrt"
+	"gvrt/internal/trace"
 )
 
 func main() {
@@ -329,12 +330,12 @@ func render(addr string, st, prev gvrt.RuntimeStats, havePrev bool, interval tim
 		for _, k := range keys {
 			h := st.Histograms[k]
 			fmt.Fprintf(&b, "%-26s %9d %12s %12s", k, h.Count,
-				fmtVal(k, h.Quantile(0.5)), fmtVal(k, h.Quantile(0.99)))
+				trace.FormatHistValue(k, h.Quantile(0.5)), trace.FormatHistValue(k, h.Quantile(0.99)))
 			if havePrev {
 				d := h.Delta(prev.Histograms[k])
 				if d.Count > 0 {
 					fmt.Fprintf(&b, "   %9d %12s %12s", d.Count,
-						fmtVal(k, d.Quantile(0.5)), fmtVal(k, d.Quantile(0.99)))
+						trace.FormatHistValue(k, d.Quantile(0.5)), trace.FormatHistValue(k, d.Quantile(0.99)))
 				}
 			}
 			b.WriteByte('\n')
@@ -350,15 +351,6 @@ func launches(st gvrt.RuntimeStats) int64 {
 		n += d.Launches
 	}
 	return n
-}
-
-// fmtVal renders a histogram value in its unit: bytes for byte-sized
-// histograms, model-time duration otherwise.
-func fmtVal(key string, v int64) string {
-	if key == "swap_bytes" || key == "migration_bytes" {
-		return fmt.Sprintf("%dB", v)
-	}
-	return time.Duration(v).String()
 }
 
 // bar renders a width-cell utilization bar.

@@ -86,6 +86,26 @@ func TestRenderInterval(t *testing.T) {
 	}
 }
 
+// TestRenderByteHistograms: byte-sized families render their
+// quantiles in bytes, not as durations.
+func TestRenderByteHistograms(t *testing.T) {
+	prev := frame(100, 0, 0, map[string]gvrt.HistSnapshot{"dedup_saved": hist(4096)})
+	st := frame(150, 0, 0, map[string]gvrt.HistSnapshot{"dedup_saved": hist(4096, 8192, 8192)})
+	out := render("x", st, prev, true, time.Second)
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "dedup_saved ") {
+			continue
+		}
+		// Cumulative p50/p99 and interval Δp50/Δp99 all sit in the
+		// 8192-16384 log2 bucket.
+		if got := strings.Count(line, "16384B"); got != 4 {
+			t.Errorf("dedup_saved row shows %d byte quantiles, want 4:\n%s", got, line)
+		}
+		return
+	}
+	t.Errorf("no dedup_saved row:\n%s", out)
+}
+
 func TestRenderFailedDevice(t *testing.T) {
 	st := frame(1, 0, 0, nil)
 	st.Devices[0].Healthy = false

@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/gob"
+	"strconv"
 
 	"gvrt/internal/trace"
 )
@@ -122,16 +123,143 @@ type RuntimeStats struct {
 	// contexts — the node-level total the per-tenant GPUTimeNS figures
 	// are conserved against.
 	GPUTimeNS    int64         `json:"gpu_time_ns"`
-	QueueDepth   int           `json:"queue_depth"`
-	LiveContexts int           `json:"live_contexts"`
+	QueueDepth   int64         `json:"queue_depth"`
+	LiveContexts int64         `json:"live_contexts"`
 	Devices      []DeviceStats `json:"devices"`
 	// Tenants carries per-tenant attribution, keyed by tenant name.
 	Tenants map[string]TenantUsage `json:"tenants,omitempty"`
 	// Histograms carries latency/size distributions keyed by metric
 	// name ("launch_latency", "queue_wait", "call.cudaLaunch", ...).
-	// Values are model-time nanoseconds except journal_commit_wall
-	// (wall nanoseconds) and swap_bytes (bytes).
+	// trace.HistFamilies declares each key's unit.
 	Histograms map[string]trace.HistSnapshot `json:"histograms,omitempty"`
+}
+
+// Kinds of exported scalar, as Prometheus TYPE keywords: a counter
+// only rises (its family ends in _total), a gauge may fall.
+const (
+	Counter = "counter"
+	Gauge   = "gauge"
+)
+
+// Scalar declares one exported int64 field of T: its Prometheus family
+// name and help text, its kind, and the scale from the raw field to
+// the exposed unit (1e9 for a ...NS field exposed in seconds; 0 means
+// exposed as is). Every reader of the export — /metrics, /statusz and
+// the fleet merge — walks these tables instead of naming fields.
+type Scalar[T any] struct {
+	Name  string
+	Help  string
+	Kind  string
+	Scale float64
+	Field func(*T) *int64
+}
+
+// Format renders the field of v in the exposed unit: integers exactly,
+// scaled fields as the shortest round-trip float.
+func (s Scalar[T]) Format(v *T) string {
+	if s.Scale == 0 {
+		return strconv.FormatInt(*s.Field(v), 10)
+	}
+	return strconv.FormatFloat(float64(*s.Field(v))/s.Scale, 'g', -1, 64)
+}
+
+// NodeScalars is the single declaration of RuntimeStats' scalars, in
+// exposition order.
+var NodeScalars = []Scalar[RuntimeStats]{
+	{"gvrt_calls_served_total", "CUDA calls served.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.CallsServed }},
+	{"gvrt_binds_total", "Context-to-vGPU bindings.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.Binds }},
+	{"gvrt_inter_app_swaps_total", "Inter-application swap-outs (context evictions).", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.InterAppSwaps }},
+	{"gvrt_intra_app_swaps_total", "Intra-application swap-outs (working-set evictions).", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.IntraAppSwaps }},
+	{"gvrt_swap_ops_total", "Swap-area operations.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.SwapOps }},
+	{"gvrt_swap_bytes_total", "Bytes moved through the swap area.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.SwapBytes }},
+	{"gvrt_checkpoint_bytes_total", "Device-to-swap bytes moved by checkpoint flushes.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.CheckpointBytes }},
+	{"gvrt_prefetch_issued_total", "Speculative swap-ins completed by the predictive prefetcher.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.PrefetchIssued }},
+	{"gvrt_prefetch_hits_total", "Launches that found their working set resident because of a prefetch.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.PrefetchHits }},
+	{"gvrt_prefetch_skipped_total", "Prefetch predictions dropped (context busy, no memory, queue full).", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.PrefetchSkipped }},
+	{"gvrt_dedup_hits_total", "Swap chunks found already interned by deduplication.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.DedupHits }},
+	{"gvrt_dedup_host_saved_bytes", "Host bytes currently avoided by swap-area deduplication.", Gauge, 0,
+		func(s *RuntimeStats) *int64 { return &s.DedupSavedBytes }},
+	{"gvrt_cow_breaks_total", "Sealed swap images privatised by a mutating access.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.CowBreaks }},
+	{"gvrt_migrations_total", "Inter-device context migrations.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.Migrations }},
+	{"gvrt_migrations_started_total", "Cross-node session migrations started.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.MigrationsStarted }},
+	{"gvrt_migrations_completed_total", "Cross-node session migrations committed on the target.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.MigrationsCompleted }},
+	{"gvrt_migrations_aborted_total", "Cross-node session migrations aborted or refused.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.MigrationsAborted }},
+	{"gvrt_fence_rejections_total", "Mutating calls rejected by the session-lease write fence.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.FenceRejections }},
+	{"gvrt_lease_renewals_total", "Session-lease renewals piggybacked on served calls.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.LeaseRenewals }},
+	{"gvrt_recoveries_total", "Device-failure recoveries.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.Recoveries }},
+	{"gvrt_replays_total", "Kernels replayed during recovery.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.Replays }},
+	{"gvrt_device_failures_total", "Device failures observed.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.DeviceFailures }},
+	{"gvrt_offloaded_total", "Connections offloaded to a peer node.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.Offloaded }},
+	{"gvrt_unbind_retries_total", "Unbind attempts retried.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.UnbindRetries }},
+	{"gvrt_breaker_trips_total", "Circuit-breaker trips on peer links.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.BreakerTrips }},
+	{"gvrt_readmissions_total", "Offloaded connections readmitted locally.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.Readmissions }},
+	{"gvrt_retries_spent_total", "Retry-budget tokens spent.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.RetriesSpent }},
+	{"gvrt_sheds_total", "Connections shed by admission control.", Counter, 0,
+		func(s *RuntimeStats) *int64 { return &s.Sheds }},
+	{"gvrt_gpu_seconds_total", "Model seconds of kernel execution across all contexts (the per-tenant conservation anchor).", Counter, 1e9,
+		func(s *RuntimeStats) *int64 { return &s.GPUTimeNS }},
+	{"gvrt_queue_depth", "Contexts waiting for a virtual GPU.", Gauge, 0,
+		func(s *RuntimeStats) *int64 { return &s.QueueDepth }},
+	{"gvrt_live_contexts", "Live application contexts.", Gauge, 0,
+		func(s *RuntimeStats) *int64 { return &s.LiveContexts }},
+}
+
+// TenantScalars is the single declaration of TenantUsage's scalars,
+// exposed as tenant-labeled series. Dedup savings are a gauge because
+// reclaiming a saving (COW break, free) takes the value back down.
+var TenantScalars = []Scalar[TenantUsage]{
+	{"gvrt_tenant_sessions", "Sessions currently admitted for the tenant.", Gauge, 0,
+		func(u *TenantUsage) *int64 { return &u.Sessions }},
+	{"gvrt_tenant_calls_total", "CUDA calls served for the tenant.", Counter, 0,
+		func(u *TenantUsage) *int64 { return &u.Calls }},
+	{"gvrt_tenant_errors_total", "Calls that returned an error to the tenant.", Counter, 0,
+		func(u *TenantUsage) *int64 { return &u.Errors }},
+	{"gvrt_tenant_launches_total", "Kernel launches completed for the tenant.", Counter, 0,
+		func(u *TenantUsage) *int64 { return &u.Launches }},
+	{"gvrt_tenant_gpu_seconds_total", "Model seconds of GPU execution attributed to the tenant.", Counter, 1e9,
+		func(u *TenantUsage) *int64 { return &u.GPUTimeNS }},
+	{"gvrt_tenant_queue_wait_seconds_total", "Model seconds the tenant's contexts spent queued for a vGPU.", Counter, 1e9,
+		func(u *TenantUsage) *int64 { return &u.QueueWaitNS }},
+	{"gvrt_tenant_swap_bytes_total", "Swap-area bytes moved on behalf of the tenant.", Counter, 0,
+		func(u *TenantUsage) *int64 { return &u.SwapBytes }},
+	{"gvrt_tenant_swap_ops_total", "Swap-area operations attributed to the tenant.", Counter, 0,
+		func(u *TenantUsage) *int64 { return &u.SwapOps }},
+	{"gvrt_tenant_checkpoint_bytes_total", "Checkpoint bytes written for the tenant.", Counter, 0,
+		func(u *TenantUsage) *int64 { return &u.CheckpointBytes }},
+	{"gvrt_tenant_migration_bytes_total", "Migration wire bytes shipped for the tenant.", Counter, 0,
+		func(u *TenantUsage) *int64 { return &u.MigrationBytes }},
+	{"gvrt_tenant_dedup_saved_bytes", "Host bytes currently saved for the tenant by swap deduplication.", Gauge, 0,
+		func(u *TenantUsage) *int64 { return &u.DedupSavedBytes }},
+	{"gvrt_tenant_fence_rejections_total", "Tenant calls rejected by the session-lease write fence.", Counter, 0,
+		func(u *TenantUsage) *int64 { return &u.FenceRejections }},
+	{"gvrt_tenant_quota_rejects_total", "Tenant admissions or allocations rejected by quota.", Counter, 0,
+		func(u *TenantUsage) *int64 { return &u.QuotaRejects }},
 }
 
 func init() {

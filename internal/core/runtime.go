@@ -673,8 +673,8 @@ func (rt *Runtime) Metrics() Metrics {
 func (rt *Runtime) wireStats() api.RuntimeStats {
 	m := rt.Metrics()
 	rt.mu.Lock()
-	depth := len(rt.waiting)
-	live := len(rt.ctxs)
+	depth := int64(len(rt.waiting))
+	live := int64(len(rt.ctxs))
 	rt.mu.Unlock()
 	out := api.RuntimeStats{
 		CallsServed:         m.CallsServed,

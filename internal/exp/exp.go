@@ -169,16 +169,21 @@ func runGvrtBatch(o Options, cfg core.Config, specs []gpu.Spec, apps []workload.
 // placing job i on device i modulo the device count (the strongest
 // bare-runtime configuration: a user manually spreading jobs).
 func runBareBatch(o Options, specs []gpu.Spec, apps []workload.App) (workload.BatchResult, error) {
+	clock, crt := bareNode(o, specs)
+	res := workload.RunBatch(clock, apps, func(i int) (workload.CUDA, error) {
+		return workload.NewBareClient(crt, i%len(specs))
+	})
+	return res, nil
+}
+
+// bareNode builds a fresh bare CUDA runtime over specs.
+func bareNode(o Options, specs []gpu.Spec) (*sim.Clock, *cudart.Runtime) {
 	clock := sim.NewClock(o.scale())
 	devs := make([]*gpu.Device, len(specs))
 	for i, s := range specs {
 		devs[i] = gpu.NewDevice(i, s, clock)
 	}
-	crt := cudart.New(clock, devs...)
-	res := workload.RunBatch(clock, apps, func(i int) (workload.CUDA, error) {
-		return workload.NewBareClient(crt, i%len(specs))
-	})
-	return res, nil
+	return clock, cudart.New(clock, devs...)
 }
 
 // threeGPUNode is the §5.1 node: two Tesla C2050s and one Tesla C1060.

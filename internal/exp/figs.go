@@ -62,11 +62,24 @@ func CtxLimit(o Options) (*Table, error) {
 		}
 		return apps
 	}
-	// Bare runtime, 12 concurrent jobs: the ninth and later fail.
-	bare, err := runBareBatch(o, []gpu.Spec{gpu.TeslaC2050}, mk(12))
-	if err != nil {
-		return nil, err
+	// Bare runtime, 12 concurrent jobs: the ninth and later fail. All
+	// twelve attach before any job runs, so the eight-process limit
+	// rejects exactly four whatever the host speed; attaching inside
+	// each job would let a fast job detach and free its slot first.
+	clock, crt := bareNode(o, []gpu.Spec{gpu.TeslaC2050})
+	clients := make([]workload.CUDA, 12)
+	attachErrs := make([]error, 12)
+	for i := range clients {
+		c, err := workload.NewBareClient(crt, 0)
+		if err != nil {
+			attachErrs[i] = err
+			continue
+		}
+		clients[i] = c
 	}
+	bare := workload.RunBatch(clock, mk(12), func(i int) (workload.CUDA, error) {
+		return clients[i], attachErrs[i]
+	})
 	t.Rows = append(t.Rows, []string{"bare CUDA runtime", "12",
 		fmt.Sprintf("%d", 12-bare.Failed()), fmt.Sprintf("%d", bare.Failed())})
 

@@ -35,85 +35,46 @@ func (c ClusterStats) NodeNames() []string {
 	return out
 }
 
-// MergeTenantUsage sums two per-tenant bundles.
+// MergeTenantUsage sums two per-tenant bundles: every declared scalar
+// adds, the latency histograms merge.
 func MergeTenantUsage(a, b api.TenantUsage) api.TenantUsage {
-	return api.TenantUsage{
-		Sessions:        a.Sessions + b.Sessions,
-		Calls:           a.Calls + b.Calls,
-		Errors:          a.Errors + b.Errors,
-		Launches:        a.Launches + b.Launches,
-		GPUTimeNS:       a.GPUTimeNS + b.GPUTimeNS,
-		QueueWaitNS:     a.QueueWaitNS + b.QueueWaitNS,
-		SwapBytes:       a.SwapBytes + b.SwapBytes,
-		SwapOps:         a.SwapOps + b.SwapOps,
-		CheckpointBytes: a.CheckpointBytes + b.CheckpointBytes,
-		MigrationBytes:  a.MigrationBytes + b.MigrationBytes,
-		DedupSavedBytes: a.DedupSavedBytes + b.DedupSavedBytes,
-		FenceRejections: a.FenceRejections + b.FenceRejections,
-		QuotaRejects:    a.QuotaRejects + b.QuotaRejects,
-		Launch:          a.Launch.Merge(b.Launch),
-		QueueWait:       a.QueueWait.Merge(b.QueueWait),
+	for _, m := range api.TenantScalars {
+		*m.Field(&a) += *m.Field(&b)
 	}
+	a.Launch = a.Launch.Merge(b.Launch)
+	a.QueueWait = a.QueueWait.Merge(b.QueueWait)
+	return a
 }
 
-// MergeStats folds src into dst and returns the sum: counters add,
+// MergeStats folds src into dst and returns the sum: every declared
+// scalar adds (gauges such as QueueDepth too, giving the fleet total),
 // histograms merge, tenants merge by name. Devices are deliberately
 // not concatenated — a merged stats view reports cluster totals, and
 // per-device detail stays with the per-node snapshots.
 func MergeStats(dst, src api.RuntimeStats) api.RuntimeStats {
 	out := dst
-	out.CallsServed += src.CallsServed
-	out.Binds += src.Binds
-	out.InterAppSwaps += src.InterAppSwaps
-	out.IntraAppSwaps += src.IntraAppSwaps
-	out.SwapOps += src.SwapOps
-	out.SwapBytes += src.SwapBytes
-	out.CheckpointBytes += src.CheckpointBytes
-	out.PrefetchIssued += src.PrefetchIssued
-	out.PrefetchHits += src.PrefetchHits
-	out.PrefetchSkipped += src.PrefetchSkipped
-	out.DedupHits += src.DedupHits
-	out.DedupSavedBytes += src.DedupSavedBytes
-	out.CowBreaks += src.CowBreaks
-	out.Migrations += src.Migrations
-	out.MigrationsStarted += src.MigrationsStarted
-	out.MigrationsCompleted += src.MigrationsCompleted
-	out.MigrationsAborted += src.MigrationsAborted
-	out.FenceRejections += src.FenceRejections
-	out.LeaseRenewals += src.LeaseRenewals
-	out.Recoveries += src.Recoveries
-	out.Replays += src.Replays
-	out.DeviceFailures += src.DeviceFailures
-	out.Offloaded += src.Offloaded
-	out.UnbindRetries += src.UnbindRetries
-	out.BreakerTrips += src.BreakerTrips
-	out.Readmissions += src.Readmissions
-	out.RetriesSpent += src.RetriesSpent
-	out.Sheds += src.Sheds
-	out.GPUTimeNS += src.GPUTimeNS
-	out.QueueDepth += src.QueueDepth
-	out.LiveContexts += src.LiveContexts
+	for _, m := range api.NodeScalars {
+		*m.Field(&out) += *m.Field(&src)
+	}
 	out.Devices = nil
 
-	if len(dst.Histograms) > 0 || len(src.Histograms) > 0 {
-		h := make(map[string]trace.HistSnapshot, len(dst.Histograms)+len(src.Histograms))
-		for k, v := range dst.Histograms {
-			h[k] = v
-		}
-		for k, v := range src.Histograms {
-			h[k] = h[k].Merge(v)
-		}
-		out.Histograms = h
+	out.Histograms = mergeByKey(dst.Histograms, src.Histograms, trace.HistSnapshot.Merge)
+	out.Tenants = mergeByKey(dst.Tenants, src.Tenants, MergeTenantUsage)
+	return out
+}
+
+// mergeByKey returns the union of a and b, combining values present in
+// both with merge; nil when both are empty.
+func mergeByKey[V any](a, b map[string]V, merge func(V, V) V) map[string]V {
+	if len(a) == 0 && len(b) == 0 {
+		return nil
 	}
-	if len(dst.Tenants) > 0 || len(src.Tenants) > 0 {
-		t := make(map[string]api.TenantUsage, len(dst.Tenants)+len(src.Tenants))
-		for k, v := range dst.Tenants {
-			t[k] = v
-		}
-		for k, v := range src.Tenants {
-			t[k] = MergeTenantUsage(t[k], v)
-		}
-		out.Tenants = t
+	out := make(map[string]V, len(a)+len(b))
+	for k, v := range a {
+		out[k] = v
+	}
+	for k, v := range b {
+		out[k] = merge(out[k], v)
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 
 	"gvrt/internal/api"
 	"gvrt/internal/ctrlplane"
+	"gvrt/internal/obs"
 	"gvrt/internal/trace"
 )
 
@@ -25,64 +26,18 @@ type counter struct {
 	value int64
 }
 
-// statCounters lists the snapshot's monotonic counters in exposition
-// order. /statusz reuses it so the two views can never drift.
-func statCounters(s api.RuntimeStats) []counter {
-	return []counter{
-		{"calls_served_total", "CUDA calls served.", s.CallsServed},
-		{"binds_total", "Context-to-vGPU bindings.", s.Binds},
-		{"inter_app_swaps_total", "Inter-application swap-outs (context evictions).", s.InterAppSwaps},
-		{"intra_app_swaps_total", "Intra-application swap-outs (working-set evictions).", s.IntraAppSwaps},
-		{"swap_ops_total", "Swap-area operations.", s.SwapOps},
-		{"swap_bytes_total", "Bytes moved through the swap area.", s.SwapBytes},
-		{"migrations_total", "Inter-device context migrations.", s.Migrations},
-		{"migrations_started_total", "Cross-node session migrations started.", s.MigrationsStarted},
-		{"migrations_completed_total", "Cross-node session migrations committed on the target.", s.MigrationsCompleted},
-		{"migrations_aborted_total", "Cross-node session migrations aborted or refused.", s.MigrationsAborted},
-		{"fence_rejections_total", "Mutating calls rejected by the session-lease write fence.", s.FenceRejections},
-		{"lease_renewals_total", "Session-lease renewals piggybacked on served calls.", s.LeaseRenewals},
-		{"recoveries_total", "Device-failure recoveries.", s.Recoveries},
-		{"replays_total", "Kernels replayed during recovery.", s.Replays},
-		{"device_failures_total", "Device failures observed.", s.DeviceFailures},
-		{"offloaded_total", "Connections offloaded to a peer node.", s.Offloaded},
-		{"unbind_retries_total", "Unbind attempts retried.", s.UnbindRetries},
-		{"breaker_trips_total", "Circuit-breaker trips on peer links.", s.BreakerTrips},
-		{"readmissions_total", "Offloaded connections readmitted locally.", s.Readmissions},
-		{"retries_spent_total", "Retry-budget tokens spent.", s.RetriesSpent},
-		{"sheds_total", "Connections shed by admission control.", s.Sheds},
-	}
-}
-
 // writeMetrics renders the full exposition.
 func writeMetrics(w io.Writer, s api.RuntimeStats) {
-	for _, c := range statCounters(s) {
-		name := "gvrt_" + c.name
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, c.help, name, name, c.value)
+	for _, m := range api.NodeScalars {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", m.Name, m.Help, m.Name, m.Kind, m.Name, m.Format(&s))
 	}
-
-	fmt.Fprintf(w, "# HELP gvrt_gpu_seconds_total Model seconds of kernel execution across all contexts (the per-tenant conservation anchor).\n# TYPE gvrt_gpu_seconds_total counter\ngvrt_gpu_seconds_total %s\n",
-		fmtFloat(float64(s.GPUTimeNS)/1e9))
-
-	writeGauge(w, "gvrt_queue_depth", "Contexts waiting for a virtual GPU.", float64(s.QueueDepth))
-	writeGauge(w, "gvrt_live_contexts", "Live application contexts.", float64(s.LiveContexts))
-
 	writeDeviceMetrics(w, s.Devices)
 	writeTenantMetrics(w, s.Tenants)
 	writeHistograms(w, s.Histograms)
 }
 
-// tenantMetric describes one per-tenant series.
-type tenantMetric struct {
-	name string
-	help string
-	typ  string
-	val  func(api.TenantUsage) float64
-}
-
 // writeTenantMetrics renders the per-tenant attribution bundle as
-// tenant-labeled series. Counter families end in _total; dedup savings
-// are a gauge because reclaiming a saving (COW break, free) takes the
-// value back down.
+// tenant-labeled series.
 func writeTenantMetrics(w io.Writer, tenants map[string]api.TenantUsage) {
 	if len(tenants) == 0 {
 		return
@@ -93,38 +48,11 @@ func writeTenantMetrics(w io.Writer, tenants map[string]api.TenantUsage) {
 	}
 	sort.Strings(names)
 
-	metrics := []tenantMetric{
-		{"gvrt_tenant_sessions", "Sessions currently admitted for the tenant.", "gauge",
-			func(u api.TenantUsage) float64 { return float64(u.Sessions) }},
-		{"gvrt_tenant_calls_total", "CUDA calls served for the tenant.", "counter",
-			func(u api.TenantUsage) float64 { return float64(u.Calls) }},
-		{"gvrt_tenant_errors_total", "Calls that returned an error to the tenant.", "counter",
-			func(u api.TenantUsage) float64 { return float64(u.Errors) }},
-		{"gvrt_tenant_launches_total", "Kernel launches completed for the tenant.", "counter",
-			func(u api.TenantUsage) float64 { return float64(u.Launches) }},
-		{"gvrt_tenant_gpu_seconds_total", "Model seconds of GPU execution attributed to the tenant.", "counter",
-			func(u api.TenantUsage) float64 { return float64(u.GPUTimeNS) / 1e9 }},
-		{"gvrt_tenant_queue_wait_seconds_total", "Model seconds the tenant's contexts spent queued for a vGPU.", "counter",
-			func(u api.TenantUsage) float64 { return float64(u.QueueWaitNS) / 1e9 }},
-		{"gvrt_tenant_swap_bytes_total", "Swap-area bytes moved on behalf of the tenant.", "counter",
-			func(u api.TenantUsage) float64 { return float64(u.SwapBytes) }},
-		{"gvrt_tenant_swap_ops_total", "Swap-area operations attributed to the tenant.", "counter",
-			func(u api.TenantUsage) float64 { return float64(u.SwapOps) }},
-		{"gvrt_tenant_checkpoint_bytes_total", "Checkpoint bytes written for the tenant.", "counter",
-			func(u api.TenantUsage) float64 { return float64(u.CheckpointBytes) }},
-		{"gvrt_tenant_migration_bytes_total", "Migration wire bytes shipped for the tenant.", "counter",
-			func(u api.TenantUsage) float64 { return float64(u.MigrationBytes) }},
-		{"gvrt_tenant_dedup_saved_bytes", "Host bytes currently saved for the tenant by swap deduplication.", "gauge",
-			func(u api.TenantUsage) float64 { return float64(u.DedupSavedBytes) }},
-		{"gvrt_tenant_fence_rejections_total", "Tenant calls rejected by the session-lease write fence.", "counter",
-			func(u api.TenantUsage) float64 { return float64(u.FenceRejections) }},
-		{"gvrt_tenant_quota_rejects_total", "Tenant admissions or allocations rejected by quota.", "counter",
-			func(u api.TenantUsage) float64 { return float64(u.QuotaRejects) }},
-	}
-	for _, m := range metrics {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
+	for _, m := range api.TenantScalars {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.Name, m.Help, m.Name, m.Kind)
 		for _, t := range names {
-			fmt.Fprintf(w, "%s{tenant=%q} %s\n", m.name, t, fmtFloat(m.val(tenants[t])))
+			u := tenants[t]
+			fmt.Fprintf(w, "%s{tenant=%q} %s\n", m.Name, t, m.Format(&u))
 		}
 	}
 
@@ -162,6 +90,13 @@ func writeCtrlMetrics(w io.Writer, m *ctrlplane.Manager) {
 	writeGauge(w, "gvrt_ctrl_ops_pending", "Operations currently pending or stuck.", float64(len(m.Ops())))
 	fmt.Fprintf(w, "# HELP gvrt_ctrl_op_duration_seconds Completed control-plane operation duration (seconds).\n# TYPE gvrt_ctrl_op_duration_seconds histogram\n")
 	writeHist(w, "gvrt_ctrl_op_duration_seconds", "", m.OpDurations(), 1e9)
+}
+
+// writeClusterGauges renders how many nodes a cluster-scope
+// exposition folds in.
+func writeClusterGauges(w io.Writer, cs obs.ClusterStats) {
+	writeGauge(w, "gvrt_cluster_nodes", "Nodes whose snapshot is folded into this exposition.", float64(len(cs.Nodes)))
+	writeGauge(w, "gvrt_cluster_nodes_unreachable", "Nodes that failed to answer the stats pull.", float64(len(cs.Unreachable)))
 }
 
 func writeGauge(w io.Writer, name, help string, v float64) {
@@ -214,58 +149,6 @@ func writeDeviceMetrics(w io.Writer, devs []api.DeviceStats) {
 	}
 }
 
-// histMeta maps a snapshot key to its exposition name, help text and
-// unit scale (raw value units per exposed unit: 1e9 for ns→seconds,
-// 1 for bytes).
-type histMeta struct {
-	metric string
-	help   string
-	scale  float64
-}
-
-func histInfo(key string) histMeta {
-	switch key {
-	case "launch_latency":
-		return histMeta{"gvrt_launch_latency_seconds", "End-to-end kernel launch service time (model seconds).", 1e9}
-	case "queue_wait":
-		return histMeta{"gvrt_queue_wait_seconds", "Time parked waiting for a free virtual GPU (model seconds).", 1e9}
-	case "bind_wait":
-		return histMeta{"gvrt_bind_wait_seconds", "Time from first bind attempt to bound (model seconds).", 1e9}
-	case "swap_duration":
-		return histMeta{"gvrt_swap_duration_seconds", "Per-swap-operation duration (model seconds).", 1e9}
-	case "swap_bytes":
-		return histMeta{"gvrt_swap_size_bytes", "Per-swap-operation size (bytes).", 1}
-	case "h2d":
-		return histMeta{"gvrt_h2d_transfer_seconds", "Per-transfer host-to-device copy duration (model seconds).", 1e9}
-	case "d2h":
-		return histMeta{"gvrt_d2h_transfer_seconds", "Per-transfer device-to-host copy duration (model seconds).", 1e9}
-	case "journal_commit_wall":
-		return histMeta{"gvrt_journal_commit_wall_seconds", "Durable kernel commit cost (WALL seconds, dominated by fsync).", 1e9}
-	case "peer_call":
-		return histMeta{"gvrt_peer_call_seconds", "Peer RPC round-trip time (model seconds).", 1e9}
-	case "migration_duration":
-		return histMeta{"gvrt_migration_duration_seconds", "Cross-node session migration duration (model seconds).", 1e9}
-	case "migration_bytes":
-		return histMeta{"gvrt_migration_size_bytes", "Wire bytes actually shipped per cross-node migration (after dedup/resume exclusion).", 1}
-	case "dedup_saved":
-		return histMeta{"gvrt_dedup_saved_bytes", "Bytes saved per swap-image seal by chunk deduplication (bytes).", 1}
-	case "prefetch":
-		return histMeta{"gvrt_prefetch_seconds", "Predictive swap-in prefetch duration (model seconds).", 1e9}
-	default:
-		// Unknown future keys still expose, as sanitized model-second
-		// histograms, so adding a histogram never silently drops data.
-		name := strings.Map(func(r rune) rune {
-			switch {
-			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-				return r
-			default:
-				return '_'
-			}
-		}, key)
-		return histMeta{"gvrt_" + name + "_seconds", "Runtime histogram " + key + " (model seconds).", 1e9}
-	}
-}
-
 // writeHistograms renders every histogram in the snapshot. Per-call
 // histograms ("call.<kind>" keys) are folded into one
 // gvrt_call_duration_seconds family with a kind label.
@@ -279,25 +162,20 @@ func writeHistograms(w io.Writer, hists map[string]trace.HistSnapshot) {
 	}
 	sort.Strings(keys)
 
+	// Per-call keys sort together, so the call family stays contiguous.
 	callHeader := false
 	for _, k := range keys {
-		kind, isCall := strings.CutPrefix(k, "call.")
-		if !isCall {
+		if kind, isCall := strings.CutPrefix(k, "call."); isCall {
+			if !callHeader {
+				fmt.Fprintf(w, "# HELP gvrt_call_duration_seconds Service time per CUDA call kind (model seconds).\n# TYPE gvrt_call_duration_seconds histogram\n")
+				callHeader = true
+			}
+			writeHist(w, "gvrt_call_duration_seconds", fmt.Sprintf("kind=%q,", kind), hists[k], 1e9)
 			continue
 		}
-		if !callHeader {
-			fmt.Fprintf(w, "# HELP gvrt_call_duration_seconds Service time per CUDA call kind (model seconds).\n# TYPE gvrt_call_duration_seconds histogram\n")
-			callHeader = true
-		}
-		writeHist(w, "gvrt_call_duration_seconds", fmt.Sprintf("kind=%q,", kind), hists[k], 1e9)
-	}
-	for _, k := range keys {
-		if strings.HasPrefix(k, "call.") {
-			continue
-		}
-		m := histInfo(k)
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", m.metric, m.help, m.metric)
-		writeHist(w, m.metric, "", hists[k], m.scale)
+		f := trace.FamilyOf(k)
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", f.Metric, f.Help, f.Metric)
+		writeHist(w, f.Metric, "", hists[k], float64(f.Unit))
 	}
 }
 

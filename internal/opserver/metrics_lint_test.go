@@ -7,10 +7,17 @@ package opserver
 // goldenFamilies below — that diff IS the review surface.
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"gvrt/internal/api"
+	"gvrt/internal/ctrlplane"
+	"gvrt/internal/obs"
+	"gvrt/internal/trace"
 )
 
 // family is one parsed metric family from the exposition.
@@ -134,13 +141,19 @@ func TestMetricsPromlint(t *testing.T) {
 // data-dependent histograms that appear once their subsystem observes
 // a value.
 var goldenFamilies = map[string]bool{ // name -> required
-	// Node counters (statCounters order).
+	// Node counters (api.NodeScalars order).
 	"gvrt_calls_served_total":         true,
 	"gvrt_binds_total":                true,
 	"gvrt_inter_app_swaps_total":      true,
 	"gvrt_intra_app_swaps_total":      true,
 	"gvrt_swap_ops_total":             true,
 	"gvrt_swap_bytes_total":           true,
+	"gvrt_checkpoint_bytes_total":     true,
+	"gvrt_prefetch_issued_total":      true,
+	"gvrt_prefetch_hits_total":        true,
+	"gvrt_prefetch_skipped_total":     true,
+	"gvrt_dedup_hits_total":           true,
+	"gvrt_cow_breaks_total":           true,
 	"gvrt_migrations_total":           true,
 	"gvrt_migrations_started_total":   true,
 	"gvrt_migrations_completed_total": true,
@@ -158,8 +171,9 @@ var goldenFamilies = map[string]bool{ // name -> required
 	"gvrt_sheds_total":                true,
 	"gvrt_gpu_seconds_total":          true,
 	// Node gauges.
-	"gvrt_queue_depth":   true,
-	"gvrt_live_contexts": true,
+	"gvrt_queue_depth":            true,
+	"gvrt_live_contexts":          true,
+	"gvrt_dedup_host_saved_bytes": true,
 	// Per-device series.
 	"gvrt_device_healthy":             true,
 	"gvrt_device_busy_seconds_total":  true,
@@ -252,5 +266,113 @@ func TestMetricsGoldenInventory(t *testing.T) {
 		}
 		sort.Strings(got)
 		t.Logf("exposition families:\n  %s", strings.Join(got, "\n  "))
+	}
+}
+
+// TestMetricDeclarationsCoverExport is the drift guard of the single
+// metric declaration: every int64 scalar of RuntimeStats and
+// TenantUsage has exactly one table entry, and every histogram
+// Timings.Snapshot can emit has exactly one family. Adding a field
+// without declaring it fails here.
+func TestMetricDeclarationsCoverExport(t *testing.T) {
+	checkScalarTable(t, api.NodeScalars)
+	checkScalarTable(t, api.TenantScalars)
+
+	var tm trace.Timings
+	tv := reflect.ValueOf(&tm).Elem()
+	histType := reflect.TypeOf((*trace.Histogram)(nil)).Elem()
+	fields := 0
+	for i := 0; i < tv.NumField(); i++ {
+		if tv.Field(i).Type() == histType {
+			tv.Field(i).Addr().Interface().(*trace.Histogram).Observe(1)
+			fields++
+		}
+	}
+	declared := map[string]int{}
+	for _, f := range trace.HistFamilies {
+		declared[f.Key]++
+	}
+	named := 0
+	for k := range tm.Snapshot() {
+		named++
+		if declared[k] != 1 {
+			t.Errorf("Timings.Snapshot emits %q, declared by %d families, want exactly 1", k, declared[k])
+		}
+	}
+	if named != fields || len(trace.HistFamilies) != fields {
+		t.Errorf("Timings has %d histograms; Snapshot emitted %d keys and %d families are declared",
+			fields, named, len(trace.HistFamilies))
+	}
+}
+
+// checkScalarTable checks that table claims each int64 field of T
+// exactly once and nothing else.
+func checkScalarTable[T any](t *testing.T, table []api.Scalar[T]) {
+	t.Helper()
+	var v T
+	claims := map[uintptr]int{}
+	for _, m := range table {
+		claims[reflect.ValueOf(m.Field(&v)).Pointer()]++
+	}
+	rv := reflect.ValueOf(&v).Elem()
+	fields := 0
+	for i := 0; i < rv.NumField(); i++ {
+		if rv.Field(i).Kind() != reflect.Int64 {
+			continue
+		}
+		fields++
+		if n := claims[rv.Field(i).Addr().Pointer()]; n != 1 {
+			t.Errorf("%s.%s is declared by %d table entries, want exactly 1",
+				rv.Type().Name(), rv.Type().Field(i).Name, n)
+		}
+	}
+	if len(table) != fields {
+		t.Errorf("%s table has %d entries for %d int64 fields", rv.Type().Name(), len(table), fields)
+	}
+}
+
+// TestMetricFamilyNamesUnique renders every family the operator plane
+// declares — node, tenant and device scalars, every histogram family,
+// the control plane and the cluster gauges — into one exposition and
+// checks that no two share a name and that the set is exactly the
+// golden inventory.
+func TestMetricFamilyNamesUnique(t *testing.T) {
+	full := api.RuntimeStats{
+		Devices:    []api.DeviceStats{{Name: "dev"}},
+		Tenants:    map[string]api.TenantUsage{"acme": {}},
+		Histograms: map[string]trace.HistSnapshot{"call.cudaLaunch": {Count: 1}},
+	}
+	for _, f := range trace.HistFamilies {
+		full.Histograms[f.Key] = trace.HistSnapshot{Count: 1}
+	}
+	store, err := ctrlplane.Open(t.TempDir(), ctrlplane.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	var b bytes.Buffer
+	writeMetrics(&b, full)
+	writeCtrlMetrics(&b, ctrlplane.NewManager(store, ctrlplane.ManagerOptions{}))
+	writeClusterGauges(&b, obs.ClusterStats{})
+
+	types := map[string]int{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			types[strings.Fields(rest)[0]]++
+		}
+	}
+	for name, n := range types {
+		if n != 1 {
+			t.Errorf("family %s declared %d times", name, n)
+		}
+		if _, ok := goldenFamilies[name]; !ok {
+			t.Errorf("declared family %s is not in goldenFamilies", name)
+		}
+	}
+	for name := range goldenFamilies {
+		if types[name] == 0 {
+			t.Errorf("golden family %s is declared nowhere", name)
+		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"gvrt/internal/api"
@@ -100,8 +100,7 @@ func Handler(src Source) http.Handler {
 				return
 			}
 			cs := src.Fleet.Collect()
-			writeGauge(w, "gvrt_cluster_nodes", "Nodes whose snapshot is folded into this exposition.", float64(len(cs.Nodes)))
-			writeGauge(w, "gvrt_cluster_nodes_unreachable", "Nodes that failed to answer the stats pull.", float64(len(cs.Unreachable)))
+			writeClusterGauges(w, cs)
 			writeMetrics(w, cs.Merged)
 			return
 		}
@@ -221,10 +220,7 @@ func writeStatusz(w http.ResponseWriter, src Source) {
 	if src.Now != nil {
 		fmt.Fprintf(w, "model time:    %v\n", src.Now())
 	}
-	fmt.Fprintf(w, "queue depth:   %d\n", s.QueueDepth)
-	fmt.Fprintf(w, "live contexts: %d\n\n", s.LiveContexts)
-
-	fmt.Fprintln(w, "devices:")
+	fmt.Fprintln(w, "\ndevices:")
 	fmt.Fprintf(w, "  %-3s %-12s %-9s %5s/%-5s %9s %10s %12s %12s\n",
 		"idx", "model", "state", "vgpu", "cap", "launches", "busy", "mem avail", "capacity")
 	for _, d := range s.Devices {
@@ -239,30 +235,13 @@ func writeStatusz(w http.ResponseWriter, src Source) {
 	}
 
 	fmt.Fprintln(w, "\ncounters:")
-	for _, c := range statCounters(s) {
-		fmt.Fprintf(w, "  %-22s %d\n", c.name, c.value)
+	for _, m := range api.NodeScalars {
+		fmt.Fprintf(w, "  %-30s %s\n", strings.TrimPrefix(m.Name, "gvrt_"), m.Format(&s))
 	}
 
 	if len(s.Histograms) > 0 {
-		keys := make([]string, 0, len(s.Histograms))
-		for k := range s.Histograms {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintln(w, "\nlatency (model time unless noted):")
-		fmt.Fprintf(w, "  %-26s %9s %12s %12s %12s\n", "histogram", "count", "p50", "p99", "mean")
-		for _, k := range keys {
-			h := s.Histograms[k]
-			if k == "swap_bytes" {
-				fmt.Fprintf(w, "  %-26s %9d %12d %12d %12.0f (bytes)\n",
-					k, h.Count, h.Quantile(0.5), h.Quantile(0.99), h.Mean())
-				continue
-			}
-			fmt.Fprintf(w, "  %-26s %9d %12v %12v %12v\n",
-				k, h.Count,
-				time.Duration(h.Quantile(0.5)), time.Duration(h.Quantile(0.99)),
-				time.Duration(h.Mean()))
-		}
+		fmt.Fprintln(w, "\nhistograms (model time unless noted):")
+		trace.WriteHistTable(w, s.Histograms)
 	}
 	if src.Trace != nil {
 		fmt.Fprintf(w, "\nspans recorded: %d (retained %d)\n",

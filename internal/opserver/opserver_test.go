@@ -181,6 +181,27 @@ func TestStatusz(t *testing.T) {
 	}
 }
 
+// TestStatuszByteHistograms: /statusz renders byte-sized families
+// (migration_bytes here) in bytes, not as durations.
+func TestStatuszByteHistograms(t *testing.T) {
+	var mig trace.Histogram
+	mig.Observe(1 << 20)
+	h := Handler(Source{Stats: func() api.RuntimeStats {
+		return api.RuntimeStats{Histograms: map[string]trace.HistSnapshot{"migration_bytes": mig.Snapshot()}}
+	}})
+	body := get(t, h, "/statusz").Body.String()
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "migration_bytes ") {
+			// p50 and p99 are the bucket bound 2 MiB; the mean is 1 MiB.
+			if strings.Count(line, "2097152B") != 2 || !strings.Contains(line, "1048576B") {
+				t.Errorf("migration_bytes row not in bytes: %q", line)
+			}
+			return
+		}
+	}
+	t.Errorf("/statusz has no migration_bytes row:\n%s", body)
+}
+
 func TestTracez(t *testing.T) {
 	h, _ := newNode(t)
 	body := get(t, h, "/tracez").Body.String()

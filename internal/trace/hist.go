@@ -1,10 +1,15 @@
 package trace
 
 import (
+	"fmt"
+	"io"
 	"math/bits"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // histBuckets is the number of log2 buckets. Bucket i holds values v
@@ -278,6 +283,111 @@ type Timings struct {
 	MigrationBytes Histogram
 }
 
+// HistUnit is what a histogram family observes. Its value is the
+// number of raw units per exposed unit, the scale /metrics divides by.
+type HistUnit float64
+
+const (
+	// Nanos families observe durations in nanoseconds (model time
+	// unless the help text says WALL), exposed in seconds.
+	Nanos HistUnit = 1e9
+	// Bytes families observe sizes in bytes, exposed as is.
+	Bytes HistUnit = 1
+)
+
+// HistFamily declares one named Timings histogram: the key it is
+// snapshotted under, the Prometheus family it is exposed as, and the
+// unit its values are in.
+type HistFamily struct {
+	Key    string
+	Hist   func(*Timings) *Histogram
+	Metric string
+	Help   string
+	Unit   HistUnit
+}
+
+// HistFamilies is the single declaration of Timings' named histograms.
+// Timings.Snapshot, the /metrics exposition and FormatHistValue all
+// read it, so a key's unit is decided here and nowhere else.
+var HistFamilies = []HistFamily{
+	{"launch_latency", func(t *Timings) *Histogram { return &t.Launch },
+		"gvrt_launch_latency_seconds", "End-to-end kernel launch service time (model seconds).", Nanos},
+	{"queue_wait", func(t *Timings) *Histogram { return &t.QueueWait },
+		"gvrt_queue_wait_seconds", "Time parked waiting for a free virtual GPU (model seconds).", Nanos},
+	{"bind_wait", func(t *Timings) *Histogram { return &t.BindWait },
+		"gvrt_bind_wait_seconds", "Time from first bind attempt to bound (model seconds).", Nanos},
+	{"swap_duration", func(t *Timings) *Histogram { return &t.SwapDur },
+		"gvrt_swap_duration_seconds", "Per-swap-operation duration (model seconds).", Nanos},
+	{"swap_bytes", func(t *Timings) *Histogram { return &t.SwapBytes },
+		"gvrt_swap_size_bytes", "Per-swap-operation size (bytes).", Bytes},
+	{"h2d", func(t *Timings) *Histogram { return &t.H2D },
+		"gvrt_h2d_transfer_seconds", "Per-transfer host-to-device copy duration (model seconds).", Nanos},
+	{"d2h", func(t *Timings) *Histogram { return &t.D2H },
+		"gvrt_d2h_transfer_seconds", "Per-transfer device-to-host copy duration (model seconds).", Nanos},
+	{"journal_commit_wall", func(t *Timings) *Histogram { return &t.JournalCommitWall },
+		"gvrt_journal_commit_wall_seconds", "Durable kernel commit cost (WALL seconds, dominated by fsync).", Nanos},
+	{"peer_call", func(t *Timings) *Histogram { return &t.PeerCall },
+		"gvrt_peer_call_seconds", "Peer RPC round-trip time (model seconds).", Nanos},
+	{"prefetch", func(t *Timings) *Histogram { return &t.Prefetch },
+		"gvrt_prefetch_seconds", "Predictive swap-in prefetch duration (model seconds).", Nanos},
+	{"dedup_saved", func(t *Timings) *Histogram { return &t.DedupSaved },
+		"gvrt_dedup_saved_bytes", "Bytes saved per swap-image seal by chunk deduplication (bytes).", Bytes},
+	{"migration_duration", func(t *Timings) *Histogram { return &t.MigrationDur },
+		"gvrt_migration_duration_seconds", "Cross-node session migration duration (model seconds).", Nanos},
+	{"migration_bytes", func(t *Timings) *Histogram { return &t.MigrationBytes },
+		"gvrt_migration_size_bytes", "Wire bytes actually shipped per cross-node migration (after dedup/resume exclusion).", Bytes},
+}
+
+// FamilyOf returns the declared family for a snapshot key. A key not
+// in HistFamilies (a per-call "call.<name>" key, or one added without a
+// declaration) gets a sanitized model-second family, so adding a
+// histogram never silently drops data.
+func FamilyOf(key string) HistFamily {
+	for _, f := range HistFamilies {
+		if f.Key == key {
+			return f
+		}
+	}
+	name := strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
+			return r
+		default:
+			return '_'
+		}
+	}, key)
+	return HistFamily{Key: key, Metric: "gvrt_" + name + "_seconds",
+		Help: "Runtime histogram " + key + " (model seconds).", Unit: Nanos}
+}
+
+// FormatHistValue renders a value of the histogram snapshotted under
+// key in its family's unit: "<n>B" for byte families, a duration
+// otherwise.
+func FormatHistValue(key string, v int64) string {
+	if FamilyOf(key).Unit == Bytes {
+		return strconv.FormatInt(v, 10) + "B"
+	}
+	return time.Duration(v).String()
+}
+
+// WriteHistTable writes one row per non-empty histogram, sorted by
+// key: count, p50, p99 and mean, each in its family's unit.
+func WriteHistTable(w io.Writer, hists map[string]HistSnapshot) {
+	keys := make([]string, 0, len(hists))
+	for k, h := range hists {
+		if h.Count > 0 {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	fmt.Fprintf(w, "  %-30s %9s %12s %12s %12s\n", "histogram", "count", "p50", "p99", "mean")
+	for _, k := range keys {
+		h := hists[k]
+		fmt.Fprintf(w, "  %-30s %9d %12s %12s %12s\n", k, h.Count, FormatHistValue(k, h.Quantile(0.5)),
+			FormatHistValue(k, h.Quantile(0.99)), FormatHistValue(k, int64(h.Mean())))
+	}
+}
+
 // Snapshot renders every histogram with a non-zero count, keyed by
 // metric name. Per-call-kind histograms are keyed "call.<name>".
 func (t *Timings) Snapshot() map[string]HistSnapshot {
@@ -287,24 +397,9 @@ func (t *Timings) Snapshot() map[string]HistSnapshot {
 			out["call."+k] = s
 		}
 	}
-	named := map[string]*Histogram{
-		"launch_latency":      &t.Launch,
-		"queue_wait":          &t.QueueWait,
-		"bind_wait":           &t.BindWait,
-		"swap_duration":       &t.SwapDur,
-		"swap_bytes":          &t.SwapBytes,
-		"h2d":                 &t.H2D,
-		"d2h":                 &t.D2H,
-		"journal_commit_wall": &t.JournalCommitWall,
-		"peer_call":           &t.PeerCall,
-		"prefetch":            &t.Prefetch,
-		"dedup_saved":         &t.DedupSaved,
-		"migration_duration":  &t.MigrationDur,
-		"migration_bytes":     &t.MigrationBytes,
-	}
-	for name, h := range named {
-		if s := h.Snapshot(); s.Count > 0 {
-			out[name] = s
+	for _, f := range HistFamilies {
+		if s := f.Hist(t).Snapshot(); s.Count > 0 {
+			out[f.Key] = s
 		}
 	}
 	return out
